@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
     hp::core::SimulationOptions base;
     base.model.n = n;
     base.model.injector_fraction = 0.5;
-    base.model.steps = static_cast<std::uint32_t>(2 * n);
+    base.model.steps = hp::bench::steps_for(n);
     const double seq_rate = hp::core::run_hotpotato(base).engine.event_rate();
     for (const std::uint32_t pes : scale.pe_counts) {
       double rate;

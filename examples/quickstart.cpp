@@ -6,7 +6,7 @@
 //               [--trace=trace.json] [--monitor[=interval]]
 //               [--monitor-out=monitor.jsonl] [--chaos=spec]
 //               [--pool-budget=envelopes] [--migrate[=spec]]
-//               [--gvt=mode=barrier|epoch[,interval=N]]
+//               [--gvt=interval=N]
 //               [--telemetry] [--metrics-endpoint=port|unix:path]
 //               [--metrics-out=metrics.prom]
 //
@@ -22,9 +22,9 @@
 // --migrate (Time Warp only) arms runtime KP load balancing, e.g.
 // --migrate="every=8,imbalance=1.5,max=1" (bare --migrate uses those
 // defaults) — see des/migration.hpp. Committed results are unchanged.
-// --gvt (Time Warp only) selects the GVT algorithm, e.g.
-// --gvt=mode=epoch,interval=512 — see docs/GVT.md. Committed results are
-// bit-identical under either mode.
+// --gvt (Time Warp only) sets the per-PE GVT interval, e.g.
+// --gvt=interval=512 — see docs/GVT.md. Committed results are bit-identical
+// at any interval.
 // --telemetry records event-lifecycle latency histograms (queue dwell,
 // commit latency, rollback cost, inbox dwell); --metrics-endpoint serves
 // them live as Prometheus text on a loopback port or unix socket, and
@@ -55,8 +55,7 @@ int main(int argc, char** argv) {
                      {"pool-budget", "live-envelope budget per PE (0 = off)"},
                      {"migrate",
                       "KP load balancing, e.g. every=8,imbalance=1.5,max=1"},
-                     {"gvt",
-                      "GVT algorithm, e.g. mode=epoch[,interval=N]"},
+                     {"gvt", "GVT interval, e.g. interval=512"},
                      {"telemetry", "record latency histograms"},
                      {"metrics-endpoint",
                       "serve Prometheus text on <port> or unix:<path>"},

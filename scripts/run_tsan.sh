@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # ThreadSanitizer gate for the Time Warp kernel: builds the tsan preset and
 # runs the engine test binaries that exercise the lock-free remote event
-# path (MPSC inbox, send batching, barrier GVT) under real PE threads.
+# path (MPSC inbox, send batching, epoch GVT) under real PE threads.
 # Any data race is a hard failure (halt_on_error).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -35,26 +35,21 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 # watchdog adds a polling monitor thread over relaxed-atomic beacons. Both
 # must stay race-free.
 ./build-tsan/tests/test_checkpoint
-# Epoch-based GVT replaces the round barriers with relaxed-atomic slot
-# publishes, pop-time receive credits and a CAS-serialized close: the whole
-# happens-before chain (cut release -> close acquire -> bookkeeping -> ack)
-# must hold under real PE threads.
+# Epoch GVT reduces through relaxed-atomic slot publishes, pop-time receive
+# credits and a CAS-serialized close: the whole happens-before chain (cut
+# release -> close acquire -> bookkeeping -> ack) must hold under real PE
+# threads. (The timing-dependent cliff efficiency floor lives in
+# test_gvt_cliff, which stays out of this gate.)
 ./build-tsan/tests/test_gvt_epoch
 
 # Former cancellation-race repro (sub-ULP LadderQueue bucket geometry): long
 # 4-PE runs that historically tripped HP_ASSERT pe.pending.erase(v) after
 # thousands of GVT rounds. Five seeds keep the schedule-dependent window
-# covered; any relapse shows up as an assert or a TSan report here.
+# covered — including the epoch close/cross interleavings that only show up
+# at scale; any relapse shows up as an assert or a TSan report here.
 for seed in 1 3 11 23 29; do
   ./build-tsan/examples/quickstart --n=32 --steps=4000 --pes=4 \
     --seed="$seed" > /dev/null
-done
-
-# The same long-horizon runs under the asynchronous epoch algorithm: the
-# schedule-dependent close/cross interleavings only show up at scale.
-for seed in 1 11 29; do
-  ./build-tsan/examples/quickstart --n=32 --steps=4000 --pes=4 \
-    --seed="$seed" --gvt=mode=epoch > /dev/null
 done
 
 echo "TSan: TimeWarp test suite clean."

@@ -1,39 +1,15 @@
 #include "buffered/flow_control.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 
+#include "util/cli.hpp"
 #include "util/hash.hpp"
 #include "util/macros.hpp"
 
 namespace hp::fc {
 
 namespace {
-
-bool parse_u32(std::string_view s, std::uint32_t& out) {
-  if (s.empty() || s.front() == '-') return false;
-  std::string buf(s);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(buf.c_str(), &end, 10);
-  if (errno != 0 || end != buf.c_str() + buf.size() || v > UINT32_MAX) {
-    return false;
-  }
-  out = static_cast<std::uint32_t>(v);
-  return true;
-}
-
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
 
 // Registered metric ids for the fc model channel; names shared with the
 // hot-potato channel where the semantics match, so the bench's per-row model
@@ -83,7 +59,7 @@ bool FlowControlConfig::parse(std::string_view spec, FlowControlConfig& out,
   std::string_view rest = spec;
   while (!rest.empty()) {
     const std::size_t comma = rest.find(',');
-    const std::string_view clause = trim(rest.substr(0, comma));
+    const std::string_view clause = util::trim(rest.substr(0, comma));
     rest = comma == std::string_view::npos ? std::string_view{}
                                            : rest.substr(comma + 1);
     if (clause.empty()) continue;
@@ -93,8 +69,8 @@ bool FlowControlConfig::parse(std::string_view spec, FlowControlConfig& out,
       err = "fc: expected key=value, got '" + std::string(clause) + "'";
       return false;
     }
-    const std::string_view key = trim(clause.substr(0, eq));
-    const std::string_view val = trim(clause.substr(eq + 1));
+    const std::string_view key = util::trim(clause.substr(0, eq));
+    const std::string_view val = util::trim(clause.substr(eq + 1));
     if (key == "scheme") {
       if (!parse_kind(val, cfg.scheme)) {
         err = "fc scheme: expected saf, vct or wormhole, got '" +
@@ -103,7 +79,7 @@ bool FlowControlConfig::parse(std::string_view spec, FlowControlConfig& out,
       }
     } else if (key == "qcap") {
       std::uint32_t v = 0;
-      if (!parse_u32(val, v) || v == 0) {
+      if (!util::parse_u32(val, v) || v == 0) {
         err = "fc qcap: must be a positive flit count, got '" +
               std::string(val) + "'";
         return false;
@@ -111,7 +87,7 @@ bool FlowControlConfig::parse(std::string_view spec, FlowControlConfig& out,
       cfg.queue_capacity = v;
     } else if (key == "flit") {
       std::uint32_t v = 0;
-      if (!parse_u32(val, v) || v == 0) {
+      if (!util::parse_u32(val, v) || v == 0) {
         err = "fc flit: must be a positive flits-per-packet count, got '" +
               std::string(val) + "'";
         return false;
@@ -119,7 +95,7 @@ bool FlowControlConfig::parse(std::string_view spec, FlowControlConfig& out,
       cfg.flits_per_packet = v;
     } else if (key == "credit_delay") {
       std::uint32_t v = 0;
-      if (!parse_u32(val, v) || v == 0) {
+      if (!util::parse_u32(val, v) || v == 0) {
         err = "fc credit_delay: must be a positive step count, got '" +
               std::string(val) + "'";
         return false;

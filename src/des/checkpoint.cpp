@@ -1,13 +1,12 @@
 #include "des/checkpoint.hpp"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 
 #include "des/lp_state.hpp"
+#include "util/cli.hpp"
 #include "util/macros.hpp"
 #include "util/rng.hpp"
 
@@ -29,27 +28,6 @@ std::uint64_t fnv1a(const std::uint8_t* data, std::size_t n) noexcept {
   return h;
 }
 
-bool parse_u64(std::string_view s, std::uint64_t& out) {
-  if (s.empty() || s.front() == '-') return false;
-  std::string buf(s);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(buf.c_str(), &end, 10);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  out = v;
-  return true;
-}
-
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
 }  // namespace
 
 bool CheckpointConfig::parse(std::string_view spec, CheckpointConfig& out,
@@ -59,7 +37,7 @@ bool CheckpointConfig::parse(std::string_view spec, CheckpointConfig& out,
   std::string_view rest = spec;
   while (!rest.empty()) {
     const std::size_t comma = rest.find(',');
-    std::string_view pair = trim(rest.substr(0, comma));
+    std::string_view pair = util::trim(rest.substr(0, comma));
     rest = comma == std::string_view::npos ? std::string_view{}
                                            : rest.substr(comma + 1);
     if (pair.empty()) continue;
@@ -68,10 +46,10 @@ bool CheckpointConfig::parse(std::string_view spec, CheckpointConfig& out,
       err = "checkpoint: expected key=value, got '" + std::string(pair) + "'";
       return false;
     }
-    const std::string_view key = trim(pair.substr(0, eq));
-    const std::string_view val = trim(pair.substr(eq + 1));
+    const std::string_view key = util::trim(pair.substr(0, eq));
+    const std::string_view val = util::trim(pair.substr(eq + 1));
     if (key == "every") {
-      if (!parse_u64(val, cfg.every) || cfg.every == 0) {
+      if (!util::parse_u64(val, cfg.every) || cfg.every == 0) {
         err = "checkpoint: every expects a positive integer, got '" +
               std::string(val) + "'";
         return false;

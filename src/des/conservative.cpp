@@ -148,7 +148,7 @@ ConservativeEngine::ConservativeEngine(Model& model, EngineConfig cfg,
     pes_.back()->id = pe;
     pes_.back()->pending.configure(cfg_.queue_kind);
   }
-  local_min_.resize(cfg_.num_pes, kTimeInf);
+  local_floor_.resize(cfg_.num_pes, kTimeInf);
   local_max_ts_.resize(cfg_.num_pes, kTimeNegInf);
   local_processed_.resize(cfg_.num_pes, 0);
   wd_beacons_ = std::make_unique<PeBeacon[]>(cfg_.num_pes);
@@ -164,7 +164,7 @@ void ConservativeEngine::run_pe(PeData& pe) {
     // processed timestamp and processed count); PE 0 computes the window.
     pe.probe.switch_to(Phase::GvtBarrier);
     wd_beacons_[pe.id].set_phase(BeaconPhase::GvtBarrier);
-    local_min_[pe.id] =
+    local_floor_[pe.id] =
         pe.pending.empty() ? kTimeInf : pe.pending.peek_min()->key.ts;
     local_max_ts_[pe.id] = pe.max_processed_ts;
     local_processed_[pe.id] = pe.metrics.at(Counter::Processed);
@@ -179,7 +179,7 @@ void ConservativeEngine::run_pe(PeData& pe) {
       Time floor = kTimeInf;
       Time max_ts = kTimeNegInf;
       std::uint64_t total_processed = 0;
-      for (const Time m : local_min_) floor = std::min(floor, m);
+      for (const Time m : local_floor_) floor = std::min(floor, m);
       for (const Time m : local_max_ts_) max_ts = std::max(max_ts, m);
       for (const std::uint64_t p : local_processed_) total_processed += p;
       wd_heart_.committed.store(ck_base_committed_ + total_processed,

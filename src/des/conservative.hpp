@@ -108,7 +108,7 @@ class ConservativeEngine final : public Engine {
   std::unique_ptr<obs::TelemetryHub> hub_;
 
   std::barrier<> barrier_;
-  std::vector<Time> local_min_;
+  std::vector<Time> local_floor_;
   std::atomic<Time> window_end_{0.0};
   std::atomic<bool> done_{false};
   std::atomic<std::uint64_t> windows_{0};

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "des/checkpoint.hpp"
@@ -44,7 +45,9 @@ struct EngineConfig {
   const net::Mapping* mapping = nullptr;
   // Per-PE processed events between GVT rounds. Also bounds memory: events
   // can only be fossil-collected at GVT. Under adaptive pacing this is the
-  // *ceiling*; the effective per-PE interval floats below it.
+  // *ceiling*; the effective per-PE interval floats below it. The effective
+  // interval is also the lead bound: a PE that has processed it since the
+  // last GVT close waits for the next one (docs/GVT.md).
   std::uint32_t gvt_interval_events = 4096;
   // Adaptive GVT pacing: each PE adjusts its effective GVT interval from the
   // commit yield of the previous round (wasted optimism => sooner rounds,
@@ -54,18 +57,6 @@ struct EngineConfig {
   // sweeps with this disabled). Results are bit-identical either way — GVT
   // timing affects only commit latency and memory, never event order.
   bool adaptive_gvt = true;
-  // GVT algorithm (Time Warp only). Barrier: the original two-barrier
-  // stop-the-world reduction, kept as the reference oracle. Epoch: a
-  // Mattern-style asynchronous epoch protocol — PEs keep executing while
-  // per-PE LVT minima and send/recv counts reduce through relaxed-atomic
-  // epoch slots; transient messages are accounted by tagging envelopes with
-  // the sender's epoch, and the epoch closes (committing exactly the same
-  // rounds: fossil, flow window, migration, checkpoint, monitor) only once
-  // every epoch-e send has been matched by a receive. Committed results are
-  // bit-identical in either mode — GVT timing affects only commit latency
-  // and memory, never event order. See docs/GVT.md.
-  enum class GvtMode : std::uint8_t { Barrier, Epoch };
-  GvtMode gvt_mode = GvtMode::Barrier;
   // Ablation: roll back by restoring pre-event state snapshots instead of
   // reverse computation (report Section 3.2.1 contrasts these).
   bool state_saving = false;
@@ -266,20 +257,11 @@ std::unique_ptr<Engine> make_engine(EngineKind kind, Model& model,
                                     const EngineConfig& cfg,
                                     Time conservative_lookahead = 0.0);
 
-// Parse the CLI `--gvt=mode=<barrier|epoch>[,interval=N]` spec into
-// cfg.gvt_mode / cfg.gvt_interval_events. Same contract as the other spec
-// parsers (WatchdogConfig::parse etc.): returns false with a message in
-// `err` on an unknown key, unknown mode, or non-positive interval; `mode=`
-// is required.
-bool parse_gvt_spec(const std::string& spec, EngineConfig& cfg,
+// Parse the CLI `--gvt=interval=N` spec into cfg.gvt_interval_events. Same
+// contract as the other spec parsers (WatchdogConfig::parse etc.): returns
+// false with a message in `err` on an unknown key or an interval outside
+// [1, 2^32); `interval=` is required.
+bool parse_gvt_spec(std::string_view spec, EngineConfig& cfg,
                     std::string& err);
-
-constexpr const char* gvt_mode_name(EngineConfig::GvtMode m) noexcept {
-  switch (m) {
-    case EngineConfig::GvtMode::Barrier: return "barrier";
-    case EngineConfig::GvtMode::Epoch: return "epoch";
-  }
-  __builtin_unreachable();
-}
 
 }  // namespace hp::des

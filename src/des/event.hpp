@@ -102,9 +102,9 @@ struct Event : util::MpscNode {
   // the wall-clock stamp of the remote send, set only when tracing AND
   // forensics are on (it pairs the trace.json flow event); 0 otherwise.
   std::uint32_t cascade = 0;
-  // Epoch-GVT transient-message tag (EngineConfig::gvt_mode == Epoch): the
-  // sender's epoch number at stage time, so the receiver can credit the
-  // matching per-epoch receive counter. Barrier-mode runs leave it 0.
+  // Epoch-GVT transient-message tag (Time Warp remote sends): the sender's
+  // epoch number at stage time, so the receiver can credit the matching
+  // per-epoch receive counter.
   std::uint32_t epoch = 0;
   std::uint64_t send_wall_ns = 0;
   // Latency telemetry stamps (ObsConfig::telemetry; 0 when off, so a

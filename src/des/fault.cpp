@@ -1,9 +1,9 @@
 #include "des/fault.hpp"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
+
+#include "util/cli.hpp"
 
 namespace hp::des {
 
@@ -15,32 +15,10 @@ struct KeyVal {
   std::string_view val;
 };
 
-bool parse_double(std::string_view s, double& out) {
-  if (s.empty()) return false;
-  std::string buf(s);
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  out = v;
-  return true;
-}
-
-bool parse_u64(std::string_view s, std::uint64_t& out) {
-  if (s.empty() || s.front() == '-') return false;
-  std::string buf(s);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(buf.c_str(), &end, 10);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  out = v;
-  return true;
-}
-
 bool parse_prob(std::string_view s, double& out, std::string& err,
                 std::string_view clause) {
   double v = 0.0;
-  if (!parse_double(s, v) || v < 0.0 || v > 1.0) {
+  if (!util::parse_double(s, v) || v < 0.0 || v > 1.0) {
     err = "chaos clause '" + std::string(clause) +
           "': probability must be a number in [0,1], got '" + std::string(s) +
           "'";
@@ -50,22 +28,12 @@ bool parse_prob(std::string_view s, double& out, std::string& err,
   return true;
 }
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
 // Splits "key=val,key=val" after the clause name; false on malformed pairs.
 bool split_kvs(std::string_view body, std::vector<KeyVal>& out,
                std::string& err, std::string_view clause) {
   while (!body.empty()) {
     const std::size_t comma = body.find(',');
-    std::string_view pair = trim(body.substr(0, comma));
+    std::string_view pair = util::trim(body.substr(0, comma));
     body = comma == std::string_view::npos ? std::string_view{}
                                            : body.substr(comma + 1);
     if (pair.empty()) continue;
@@ -75,7 +43,8 @@ bool split_kvs(std::string_view body, std::vector<KeyVal>& out,
             "': expected key=value, got '" + std::string(pair) + "'";
       return false;
     }
-    out.push_back({trim(pair.substr(0, eq)), trim(pair.substr(eq + 1))});
+    out.push_back(
+        {util::trim(pair.substr(0, eq)), util::trim(pair.substr(eq + 1))});
   }
   return true;
 }
@@ -87,20 +56,20 @@ bool FaultPlan::parse(std::string_view spec, FaultPlan& out, std::string& err) {
   std::string_view rest = spec;
   while (!rest.empty()) {
     const std::size_t semi = rest.find(';');
-    std::string_view clause = trim(rest.substr(0, semi));
+    std::string_view clause = util::trim(rest.substr(0, semi));
     rest = semi == std::string_view::npos ? std::string_view{}
                                           : rest.substr(semi + 1);
     if (clause.empty()) continue;
 
     const std::size_t colon = clause.find(':');
-    std::string_view name = trim(clause.substr(0, colon));
+    std::string_view name = util::trim(clause.substr(0, colon));
     std::string_view body =
         colon == std::string_view::npos ? std::string_view{}
                                         : clause.substr(colon + 1);
 
     // Bare `seed=N` clause (no colon form).
     if (name.substr(0, 5) == "seed=" && colon == std::string_view::npos) {
-      if (!parse_u64(trim(name.substr(5)), plan.seed)) {
+      if (!util::parse_u64(util::trim(name.substr(5)), plan.seed)) {
         err = "chaos seed: expected unsigned integer, got '" +
               std::string(name.substr(5)) + "'";
         return false;
@@ -111,7 +80,7 @@ bool FaultPlan::parse(std::string_view spec, FaultPlan& out, std::string& err) {
     // `seed:42` tolerated alongside the documented `seed=42` (the body is a
     // bare value, not key=value pairs, so it must dodge split_kvs).
     if (name == "seed") {
-      if (!parse_u64(trim(body), plan.seed)) {
+      if (!util::parse_u64(util::trim(body), plan.seed)) {
         err = "chaos seed: expected seed=<unsigned integer>";
         return false;
       }
@@ -130,13 +99,13 @@ bool FaultPlan::parse(std::string_view spec, FaultPlan& out, std::string& err) {
           if (!parse_prob(kv.val, plan.delay_prob, err, clause)) return false;
           have_p = true;
         } else if (kv.key == "k") {
-          std::uint64_t k = 0;
-          if (!parse_u64(kv.val, k) || k == 0) {
-            err = "chaos delay: k must be a positive integer, got '" +
-                  std::string(kv.val) + "'";
+          std::uint32_t k = 0;
+          if (!util::parse_u32(kv.val, k) || k == 0) {
+            err = "chaos delay: k must be an integer in [1, 4294967295], "
+                  "got '" + std::string(kv.val) + "'";
             return false;
           }
-          plan.delay_rounds = static_cast<std::uint32_t>(k);
+          plan.delay_rounds = k;
         } else {
           err = "chaos delay: unknown key '" + std::string(kv.key) + "'";
           return false;
@@ -161,7 +130,7 @@ bool FaultPlan::parse(std::string_view spec, FaultPlan& out, std::string& err) {
           have_p = true;
         } else if (kv.key == "margin" || kv.key == "m") {
           double m = 0.0;
-          if (!parse_double(kv.val, m) || m <= 0.0) {
+          if (!util::parse_double(kv.val, m) || m <= 0.0) {
             err = "chaos straggler: margin must be > 0, got '" +
                   std::string(kv.val) + "'";
             return false;
@@ -189,7 +158,7 @@ bool FaultPlan::parse(std::string_view spec, FaultPlan& out, std::string& err) {
       for (const KeyVal& kv : kvs) {
         if (kv.key == "pe") {
           std::uint64_t pe = 0;
-          if (!parse_u64(kv.val, pe) || pe >= kNoStallPe) {
+          if (!util::parse_u64(kv.val, pe) || pe >= kNoStallPe) {
             err = "chaos stall: pe must be an unsigned PE index, got '" +
                   std::string(kv.val) + "'";
             return false;
@@ -197,14 +166,14 @@ bool FaultPlan::parse(std::string_view spec, FaultPlan& out, std::string& err) {
           plan.stall_pe = static_cast<std::uint32_t>(pe);
           have_pe = true;
         } else if (kv.key == "rounds") {
-          if (!parse_u64(kv.val, plan.stall_rounds) ||
+          if (!util::parse_u64(kv.val, plan.stall_rounds) ||
               plan.stall_rounds == 0) {
             err = "chaos stall: rounds must be a positive integer, got '" +
                   std::string(kv.val) + "'";
             return false;
           }
         } else if (kv.key == "at") {
-          if (!parse_u64(kv.val, plan.stall_at)) {
+          if (!util::parse_u64(kv.val, plan.stall_at)) {
             err = "chaos stall: at must be an unsigned round index, got '" +
                   std::string(kv.val) + "'";
             return false;

@@ -1,47 +1,11 @@
 #include "des/migration.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
+
+#include "util/cli.hpp"
 
 namespace hp::des {
-
-namespace {
-
-bool parse_double(std::string_view s, double& out) {
-  if (s.empty()) return false;
-  std::string buf(s);
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  out = v;
-  return true;
-}
-
-bool parse_u64(std::string_view s, std::uint64_t& out) {
-  if (s.empty() || s.front() == '-') return false;
-  std::string buf(s);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(buf.c_str(), &end, 10);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  out = v;
-  return true;
-}
-
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
-}  // namespace
 
 bool MigrationConfig::parse(std::string_view spec, MigrationConfig& out,
                             std::string& err) {
@@ -50,7 +14,7 @@ bool MigrationConfig::parse(std::string_view spec, MigrationConfig& out,
   std::string_view rest = spec;
   while (!rest.empty()) {
     const std::size_t comma = rest.find(',');
-    std::string_view clause = trim(rest.substr(0, comma));
+    std::string_view clause = util::trim(rest.substr(0, comma));
     rest = comma == std::string_view::npos ? std::string_view{}
                                            : rest.substr(comma + 1);
     if (clause.empty()) continue;
@@ -65,32 +29,32 @@ bool MigrationConfig::parse(std::string_view spec, MigrationConfig& out,
             std::string(clause) + "'";
       return false;
     }
-    const std::string_view key = trim(clause.substr(0, eq));
-    const std::string_view val = trim(clause.substr(eq + 1));
+    const std::string_view key = util::trim(clause.substr(0, eq));
+    const std::string_view val = util::trim(clause.substr(eq + 1));
     if (key == "every") {
-      std::uint64_t v = 0;
-      if (!parse_u64(val, v) || v == 0) {
-        err = "migrate every: must be a positive round count, got '" +
-              std::string(val) + "'";
+      std::uint32_t v = 0;
+      if (!util::parse_u32(val, v) || v == 0) {
+        err = "migrate every: must be a round count in [1, 4294967295], "
+              "got '" + std::string(val) + "'";
         return false;
       }
-      cfg.interval_rounds = static_cast<std::uint32_t>(v);
+      cfg.interval_rounds = v;
     } else if (key == "imbalance") {
       double v = 0.0;
-      if (!parse_double(val, v) || v < 1.0) {
+      if (!util::parse_double(val, v) || v < 1.0) {
         err = "migrate imbalance: must be a number >= 1, got '" +
               std::string(val) + "'";
         return false;
       }
       cfg.imbalance_threshold = v;
     } else if (key == "max") {
-      std::uint64_t v = 0;
-      if (!parse_u64(val, v) || v == 0) {
-        err = "migrate max: must be a positive move count, got '" +
+      std::uint32_t v = 0;
+      if (!util::parse_u32(val, v) || v == 0) {
+        err = "migrate max: must be a move count in [1, 4294967295], got '" +
               std::string(val) + "'";
         return false;
       }
-      cfg.max_moves = static_cast<std::uint32_t>(v);
+      cfg.max_moves = v;
     } else {
       err = "migrate: unknown key '" + std::string(key) +
             "' (expected every, imbalance, max, forced)";

@@ -20,7 +20,7 @@ constexpr std::uint32_t kIdleItersBeforeGvt = 256;
 // Adaptive pacing bounds. The effective per-PE interval floats in
 // [kGvtMinInterval, cfg.gvt_interval_events]; the idle trigger starts at
 // kIdleBackoffInit spins (fast termination / window advance) and doubles on
-// consecutive fruitless idle rounds up to kIdleBackoffMax (no barrier storm
+// consecutive fruitless idle rounds up to kIdleBackoffMax (no request storm
 // while peers are busy).
 constexpr std::uint32_t kGvtMinInterval = 32;
 constexpr std::uint32_t kIdleBackoffInit = 64;
@@ -28,10 +28,14 @@ constexpr std::uint32_t kIdleBackoffMax = 8192;
 
 // Commit-yield thresholds steering the effective interval: below kShrinkYield
 // the optimism was mostly wasted (shrink => commit/throttle sooner), above
-// kGrowYield the round was clean (stretch => fewer barriers). The shrink
+// kGrowYield the round was clean (stretch => fewer rounds). The shrink
 // threshold is deliberately low: mid-range yields (0.3-0.5) are ordinary
 // straggler churn that shorter rounds cannot fix — shrinking there only buys
-// barrier overhead. Only a collapse below 1/4 signals runaway optimism.
+// round overhead. Only a collapse below 1/4 signals runaway optimism, and
+// only when the PE also rolled back more than it committed: a low yield with
+// few rollbacks is GVT lag (a hot-potato step not yet complete), and since
+// the effective interval is also the lead bound, shrinking on lag alone
+// pins the interval at the floor and stalls every PE every 32 events.
 constexpr double kShrinkYield = 0.25;
 constexpr double kGrowYield = 0.9;
 
@@ -232,7 +236,6 @@ TimeWarpEngine::TimeWarpEngine(Model& model, EngineConfig cfg)
     fwd_ctx_.push_back(std::make_unique<TwCtx>(*this, *pes_[pe]));
     rev_ctx_.push_back(std::make_unique<TwCtx>(*this, *pes_[pe]));
   }
-  local_min_.resize(cfg_.num_pes, kTimeInf);
 }
 
 TimeWarpEngine::~TimeWarpEngine() = default;
@@ -314,18 +317,16 @@ void TimeWarpEngine::stage_remote(PeData& pe, std::uint32_t dst_pe,
   if (trace_stamps_ || HP_UNLIKELY(telemetry_)) {
     ev->send_wall_ns = obs::monotonic_ns();
   }
-  if (HP_UNLIKELY(epoch_mode_)) {
-    // Transient-message accounting: tag with the sender's current epoch and
-    // record the send in this epoch's running count/minimum (published into
-    // the EpochSlot at the next cut). Antis are counted too — conservative
-    // (an anti's key is its victim's, never below the sender's frontier) and
-    // required, since the receiver cannot tell tokens from positives when it
-    // credits the receive counter at pop time. Low 2 bits suffice at the
-    // receiver (epoch spread <= 1), so the u32 truncation is harmless.
-    ev->epoch = static_cast<std::uint32_t>(pe.local_epoch);
-    ++pe.cur_epoch_sent;
-    pe.cur_epoch_sendmin = std::min(pe.cur_epoch_sendmin, ev->key.ts);
-  }
+  // Transient-message accounting: tag with the sender's current epoch and
+  // record the send in this epoch's running count/minimum (published into
+  // the EpochSlot at the next cut). Antis are counted too — conservative
+  // (an anti's key is its victim's, never below the sender's frontier) and
+  // required, since the receiver cannot tell tokens from positives when it
+  // credits the receive counter at pop time. Low 2 bits suffice at the
+  // receiver (epoch spread <= 1), so the u32 truncation is harmless.
+  ev->epoch = static_cast<std::uint32_t>(pe.local_epoch);
+  ++pe.cur_epoch_sent;
+  pe.cur_epoch_sendmin = std::min(pe.cur_epoch_sendmin, ev->key.ts);
   OutBatch& b = pe.out[dst_pe];
   ev->mpsc_next.store(nullptr, std::memory_order_relaxed);
   if (b.head == nullptr) {
@@ -616,13 +617,11 @@ void TimeWarpEngine::drain_inbox(PeData& pe) {
     return;
   }
   while (Event* ev = pe.inbox.pop()) {
-    if (HP_UNLIKELY(epoch_mode_)) {
-      // Credit the sender's epoch at the moment the envelope leaves the
-      // channel — before any annihilation/delivery side effects — so every
-      // send staged under tag e is eventually matched and epoch e can close.
-      ep_slots_[pe.id].recvd[ev->epoch & 3].fetch_add(
-          1, std::memory_order_relaxed);
-    }
+    // Credit the sender's epoch at the moment the envelope leaves the
+    // channel — before any annihilation/delivery side effects — so every
+    // send staged under tag e is eventually matched and epoch e can close.
+    ep_slots_[pe.id].recvd[ev->epoch & 3].fetch_add(1,
+                                                    std::memory_order_relaxed);
     if (ev->is_anti) {
       const std::uint64_t uid = ev->uid;
       // The anti's key is the victim child's key, so key.src_lp is the LP of
@@ -644,7 +643,7 @@ void TimeWarpEngine::drain_inbox(PeData& pe) {
 //   * a positive is always consumed (delivered or parked) before its anti is
 //     acted on — antis flush the reorder buffer and check the holdback, and
 //     per-producer FIFO already orders the raw pops;
-//   * parked envelopes keep feeding the GVT minimum (gvt_round walks
+//   * parked envelopes keep feeding the GVT minimum (epoch_cross walks
 //     chaos_held), so nothing can commit past a held event;
 //   * only delivery *timing* changes — event content and the model RNG
 //     streams are untouched, so committed results stay bit-identical.
@@ -652,15 +651,13 @@ void TimeWarpEngine::drain_inbox_chaos(PeData& pe) {
   const FaultPlan& f = cfg_.fault;
   const Time gvt = shared_gvt_.load(std::memory_order_relaxed);
   while (Event* ev = pe.inbox.pop()) {
-    if (HP_UNLIKELY(epoch_mode_)) {
-      // Same pop-time credit as the fault-free drain. Envelopes the plan
-      // parks afterwards are already counted — correct, because a held
-      // envelope is out of the channel and bounds GVT through the holdback
-      // walk at the next cut instead. Dup-anti copies below are minted
-      // locally (never staged), so they never touch either counter.
-      ep_slots_[pe.id].recvd[ev->epoch & 3].fetch_add(
-          1, std::memory_order_relaxed);
-    }
+    // Same pop-time credit as the fault-free drain. Envelopes the plan parks
+    // afterwards are already counted — correct, because a held envelope is
+    // out of the channel and bounds GVT through the holdback walk at the
+    // next cut instead. Dup-anti copies below are minted locally (never
+    // staged), so they never touch either counter.
+    ep_slots_[pe.id].recvd[ev->epoch & 3].fetch_add(1,
+                                                    std::memory_order_relaxed);
     if (ev->is_anti) {
       // Antis never pass their positives: deliver buffered positives first.
       chaos_flush_run(pe);
@@ -821,6 +818,11 @@ Event* TimeWarpEngine::next_event(PeData& pe) {
     wd_beacons_[pe.id].set_phase(BeaconPhase::Stalled);
     return nullptr;
   }
+  // Lead bound: a PE that has processed its effective interval since the
+  // last close it applied has already raised the GVT request; it runs
+  // nothing more until the next close lands, which keeps it within one
+  // interval of its peers' commit frontier (docs/GVT.md "Lead bound").
+  if (pe.processed_since_gvt >= pe.effective_gvt_interval) return nullptr;
   Event* ev = pe.pending.peek_min();
   if (ev == nullptr) return nullptr;
   if (ev->key.ts > cfg_.end_time) return nullptr;
@@ -860,11 +862,10 @@ void TimeWarpEngine::update_flow_control(PeData& pe) {
         wd_beacons_[pe.id].set_phase(BeaconPhase::Blocked);
         ++pe.metrics.at(Counter::HardBlocks);
         // Only fossil collection sheds live envelopes, so force a GVT round
-        // now instead of waiting for a progress/idle trigger. The same flag
-        // drives both algorithms: in barrier mode every PE parks in the next
-        // gvt_round; in epoch mode every PE cuts over at its next pump and
-        // the resulting close runs fossil — a blocked PE keeps pumping (it
-        // never parks), so the forced close cannot deadlock against it.
+        // now instead of waiting for a progress/idle trigger: every PE cuts
+        // over at its next pump and the resulting close runs fossil — a
+        // blocked PE keeps pumping (it never parks), so the forced close
+        // cannot deadlock against it.
         if (!gvt_request_.exchange(true, std::memory_order_relaxed)) {
           ++pe.metrics.at(Counter::GvtPoolTriggers);
         }
@@ -897,8 +898,8 @@ void TimeWarpEngine::update_flow_window(PeData& pe, Time gvt) {
     pe.flow_last_gvt = gvt;
   }
   // Global efficiency + offender-pressure signal from the round slices
-  // (every PE published between barriers A and B; reading here, after
-  // barrier B, races with nothing — see the MonitorSlice comment).
+  // (every PE published at its cut; reading here, in close bookkeeping,
+  // races with nothing — see the MonitorSlice comment).
   std::uint64_t processed = 0;
   std::uint64_t rolled = 0;
   std::uint64_t top_events = 0;
@@ -1008,18 +1009,13 @@ void TimeWarpEngine::fossil_collect(PeData& pe, Time gvt) {
   }
 }
 
-// Fill this PE's MonitorSlice. Shared by both GVT algorithms; the modes
-// differ only in when the writes are safe — between barriers A and B in
-// barrier mode, at an epoch cut in epoch mode (where the close-serialization
-// ack gate keeps the slice stable until every close-side reader is done).
-// Epoch cuts pass inbox_depth 0: there is no quiescent point to walk the
-// inbox non-destructively, so the depth is simply not observed there.
-void TimeWarpEngine::publish_slice(PeData& pe, std::uint64_t inbox_depth) {
+// Fill this PE's MonitorSlice at an epoch cut; the close-serialization ack
+// gate keeps it stable until every close-side reader is done.
+void TimeWarpEngine::publish_slice(PeData& pe) {
   MonitorSlice& sl = mon_slices_[pe.id];
   sl.processed = pe.metrics.at(Counter::Processed);
   sl.rolled_back = pe.metrics.at(Counter::RolledBack);
   sl.committed = pe.committed_at_last_gvt;
-  sl.inbox_depth = inbox_depth;
   const auto [top_kp, top_events] = pe.forensics.top_offender();
   sl.has_top = top_events > 0;
   sl.top_kp = top_kp;
@@ -1046,182 +1042,16 @@ void TimeWarpEngine::publish_slice(PeData& pe, std::uint64_t inbox_depth) {
   }
 }
 
-bool TimeWarpEngine::gvt_round(PeData& pe) {
-  HP_ASSERT(pe.out_dirty.empty(),
-            "PE %u: outbound batches must be flushed before a GVT round "
-            "(%zu dirty)",
-            pe.id, pe.out_dirty.size());
-  pe.probe.switch_to(Phase::GvtBarrier);
-  wd_beacons_[pe.id].set_phase(BeaconPhase::GvtBarrier);
-  // Barrier A: everybody stops sending/processing.
-  bar_a_.arrive_and_wait();
-  if (pe.id == 0) {
-    gvt_request_.store(false, std::memory_order_relaxed);
-  }
-  // With all PEs quiescent, every sent message is fully linked in some
-  // inbox (producers flushed and arrived at the barrier after their release
-  // pushes), so min(pending, inbox) over all PEs is a valid GVT — no
-  // transient messages, and the non-destructive inbox walk sees every node.
-  Event* pmin = pe.pending.peek_min();
-  Time local = pmin == nullptr ? kTimeInf : pmin->key.ts;
-  std::uint64_t inbox_depth = 0;
-  pe.inbox.unsafe_for_each([&local, &inbox_depth](const Event& ev) {
-    local = std::min(local, ev.key.ts);
-    ++inbox_depth;
-  });
-  if (HP_UNLIKELY(chaos_)) {
-    // Envelopes parked by the fault injector are invisible to the pending
-    // set and the inbox walk but must still bound GVT from below: a held
-    // positive (or a duplicate anti) is in-flight work nothing may commit
-    // past. This is what makes every fault plan delay-only.
-    for (const PeData::HeldEnvelope& h : pe.chaos_held) {
-      local = std::min(local, h.ev->key.ts);
-      ++inbox_depth;
-    }
-  }
-  local_min_[pe.id] = local;
-  // Publish this PE's round slice before barrier B. PE 0 reads all slices
-  // after it for the monitor heartbeat, and every PE reads them for the
-  // flow-control signal (nobody can reach the next round's slice writes
-  // until all readers pass the next barrier A, so the reads are race-free).
-  if (slices_on_) publish_slice(pe, inbox_depth);
-  // Barrier B: minima published; everybody computes the same global min.
-  bar_b_.arrive_and_wait();
-  Time gvt = kTimeInf;
-  for (Time m : local_min_) gvt = std::min(gvt, m);
-  if (pe.id == 0) {
-    const std::uint64_t round_idx =
-        gvt_rounds_.fetch_add(1, std::memory_order_relaxed);
-    shared_gvt_.store(gvt, std::memory_order_relaxed);
-    // Progress heart for the stall watchdog: GVT and the committed count
-    // (slice-summed when slices are live, PE 0's own otherwise — any
-    // monotone proxy works, the watchdog only asks "did it move").
-    std::uint64_t wd_committed = ck_base_committed_;
-    if (slices_on_) {
-      for (const MonitorSlice& sl : mon_slices_) wd_committed += sl.committed;
-    } else {
-      wd_committed += pe.committed_at_last_gvt;
-    }
-    wd_heart_.gvt_bits.store(std::bit_cast<std::uint64_t>(gvt),
-                             std::memory_order_relaxed);
-    wd_heart_.committed.store(wd_committed, std::memory_order_relaxed);
-    wd_heart_.rounds.store(round_idx + 1, std::memory_order_relaxed);
-    if (monitor_ != nullptr &&
-        ++mon_rounds_since_emit_ >= std::max(1u, cfg_.obs.monitor_interval)) {
-      mon_rounds_since_emit_ = 0;
-      emit_monitor_record(round_idx, gvt);
-    }
-    if (HP_UNLIKELY(telemetry_)) {
-      // Live gauges from the round slices PE 0 already owns the right to
-      // read here (see the MonitorSlice comment): a partial counter set —
-      // the full array lands with the final snapshot in run().
-      obs::GaugeSnapshot g;
-      for (const MonitorSlice& sl : mon_slices_) {
-        g.counters[static_cast<std::size_t>(Counter::Processed)] +=
-            sl.processed;
-        g.counters[static_cast<std::size_t>(Counter::RolledBack)] +=
-            sl.rolled_back;
-        g.counters[static_cast<std::size_t>(Counter::PoolLiveEnvelopes)] +=
-            sl.pool_live;
-        g.counters[static_cast<std::size_t>(Counter::PoolBytes)] +=
-            sl.pool_bytes;
-      }
-      g.gvt = gvt;
-      g.round = round_idx;
-      g.wall_seconds =
-          static_cast<double>(obs::monotonic_ns() - epoch_ns_) * 1e-9;
-      hub_->publish_gauges(g);
-    }
-  }
-  pe.probe.switch_to(Phase::Fossil);
-  wd_beacons_[pe.id].set_phase(BeaconPhase::Fossil);
-  fossil_collect(pe, gvt);
-  {
-    // Per-PE progress beacon for the stall dump: a handful of relaxed
-    // stores once per GVT round, nothing on the event hot path.
-    PeBeacon& b = wd_beacons_[pe.id];
-    b.processed.store(pe.metrics.at(Counter::Processed),
-                      std::memory_order_relaxed);
-    b.committed.store(pe.metrics.at(Counter::Committed),
-                      std::memory_order_relaxed);
-    b.pending.store(pe.pending.size(), std::memory_order_relaxed);
-    b.inbox.store(inbox_depth, std::memory_order_relaxed);
-    const auto [wd_kp, wd_kp_events] = pe.forensics.top_offender();
-    b.top_kp.store(wd_kp_events > 0 ? wd_kp : ~0u, std::memory_order_relaxed);
-  }
-  const std::uint64_t committed_delta =
-      pe.metrics.at(Counter::Committed) - pe.committed_at_last_gvt;
-  if (cfg_.adaptive_gvt && pe.processed_since_gvt > 0) {
-    // Steer the effective interval by this round's commit yield: committed
-    // since the last round (fossil collection just ran) over forward
-    // executions since the last round. Yield can exceed 1 when older
-    // optimistic work finally commits; clamp before comparing.
-    const double yield_ratio =
-        std::min(1.0, static_cast<double>(committed_delta) /
-                          static_cast<double>(pe.processed_since_gvt));
-    const std::uint32_t floor_interval =
-        std::min(kGvtMinInterval, std::max(1u, cfg_.gvt_interval_events));
-    if (yield_ratio < kShrinkYield) {
-      pe.effective_gvt_interval =
-          std::max(floor_interval, pe.effective_gvt_interval / 2);
-    } else if (yield_ratio > kGrowYield) {
-      pe.effective_gvt_interval = std::min(
-          std::max(1u, cfg_.gvt_interval_events), pe.effective_gvt_interval * 2);
-    }
-  }
-  if (HP_UNLIKELY(flow_on_)) update_flow_window(pe, gvt);
-  if (HP_UNLIKELY(chaos_) && stall_active(pe)) {
-    ++pe.metrics.at(Counter::ChaosStallRounds);
-  }
-  // Checkpoint trigger: every input is identical on every PE — the
-  // barrier-global gvt, the slice-summed committed count (published between
-  // barriers A and B, read after B) and ck_next_ (written only by PE 0
-  // between checkpoint barriers) — so the branch is all-or-none and the
-  // barriers inside checkpoint_round always pair up.
-  if (HP_UNLIKELY(ck_on_) && gvt <= cfg_.end_time) {
-    std::uint64_t committed = ck_base_committed_;
-    for (const MonitorSlice& sl : mon_slices_) committed += sl.committed;
-    if (committed >= ck_next_) checkpoint_round(pe, gvt);
-  }
-  // Dynamic KP migration piggybacks on the round: every PE plans identically
-  // from the slices and the affected PEs execute the handoff in lockstep.
-  // round_moves is the engine-wide move count this round (identical on all
-  // PEs); only PE 0 records it in its series slice so the per-PE sum in
-  // run() yields the true total.
-  std::uint64_t round_moves = 0;
-  if (HP_UNLIKELY(mig_on_)) {
-    const std::uint64_t before = pe.mig_moves_total;
-    do_migration_round(pe, gvt);
-    round_moves = pe.mig_moves_total - before;
-  }
-  // This PE's slice of the round sample; run() sums the slices per round
-  // (rounds are barrier-global, so local_rounds agrees across PEs).
-  pe.series.push(obs::GvtRoundSample{
-      pe.local_rounds, obs::monotonic_ns() - epoch_ns_, gvt,
-      pe.processed_since_gvt, committed_delta, inbox_depth,
-      pe.pool.allocated(),
-      static_cast<std::uint64_t>(std::max<std::int64_t>(0, pe.pool.live())),
-      pe.id == 0 ? round_moves : 0, pe.pool.pool_bytes()});
-  ++pe.local_rounds;
-  pe.committed_at_last_gvt = pe.metrics.at(Counter::Committed);
-  pe.processed_since_gvt = 0;
-  pe.idle_iters = 0;
-  pe.probe.switch_to(Phase::Forward);
-  wd_beacons_[pe.id].set_phase(BeaconPhase::Execute);
-  return gvt > cfg_.end_time;
-}
-
 // ---------------------------------------------------------------------------
-// Epoch GVT (cfg.gvt_mode == Epoch; protocol narrative in docs/GVT.md).
+// Epoch GVT (protocol narrative in docs/GVT.md).
 //
-// Mattern-style asynchronous rounds in place of the two barriers: PEs keep
-// executing optimistically the whole time. The gvt_request_ flag — set by
-// exactly the same interval / idle-backoff / pool-pressure triggers as
-// barrier mode — now means "cut over to the next epoch at your next loop
-// iteration" instead of "park at barrier A". At a cut a PE publishes its
-// reduction contribution for the epoch it is leaving (local minimum over
-// pending + chaos-held, count and minimum timestamp of its remote sends)
-// into its EpochSlot and moves on without waiting for anybody.
+// Mattern-style asynchronous rounds: PEs keep executing optimistically the
+// whole time, up to the lead bound in next_event. The gvt_request_ flag —
+// set by the interval / idle-backoff / pool-pressure triggers — means "cut
+// over to the next epoch at your next loop iteration". At a cut a PE
+// publishes its reduction contribution for the epoch it is leaving (local
+// minimum over pending + chaos-held, count and minimum timestamp of its
+// remote sends) into its EpochSlot and moves on without waiting for anybody.
 //
 // Epoch e closes when (a) every PE has crossed past it, so all slot fields
 // for e are final, and (b) the global number of epoch-e sends equals the
@@ -1243,7 +1073,8 @@ bool TimeWarpEngine::gvt_round(PeData& pe) {
 // bounds the cross-PE epoch spread to one (so a 4-slot receive ring and
 // single-buffered slots suffice), and keeps the monitor slices stable for
 // every close-side reader. GVT timing changes commit latency and memory,
-// never event order, so committed state is bit-identical to barrier mode.
+// never event order, so committed state is bit-identical to the sequential
+// kernel.
 // ---------------------------------------------------------------------------
 
 bool TimeWarpEngine::epoch_pump(PeData& pe) {
@@ -1286,8 +1117,8 @@ void TimeWarpEngine::epoch_cross(PeData& pe) {
   const std::uint64_t e = pe.local_epoch;
   // Local minimum over everything this PE holds: the pending set plus the
   // fault injector's holdback (parked envelopes are in-flight work nothing
-  // may commit past, exactly as in the barrier walk). No inbox walk — what
-  // is still in the channel is covered by its sender's sendmin/send count.
+  // may commit past). No inbox walk — what is still in the channel is
+  // covered by its sender's sendmin/send count.
   Event* pmin = pe.pending.peek_min();
   Time local = pmin == nullptr ? kTimeInf : pmin->key.ts;
   if (HP_UNLIKELY(chaos_)) {
@@ -1310,13 +1141,10 @@ void TimeWarpEngine::epoch_cross(PeData& pe) {
   // The slice this close's readers (flow window, checkpoint trigger,
   // migration planner, monitor) will consume; stable until the ack gate
   // re-opens because the next overwrite is the cut into e+2.
-  if (slices_on_) publish_slice(pe, /*inbox_depth=*/0);
+  if (slices_on_) publish_slice(pe);
   // Publish: every slot field for epoch e is final once crossed reads e+1.
   slot.crossed.store(e + 1, std::memory_order_release);
   pe.local_epoch = e + 1;
-  // Liveness tick for the stall watchdog: a long-but-progressing epoch
-  // keeps GVT and the committed count flat, but crossings keep happening.
-  wd_heart_.activity.fetch_add(1, std::memory_order_relaxed);
 }
 
 void TimeWarpEngine::try_close_epoch(PeData& pe) {
@@ -1362,8 +1190,7 @@ void TimeWarpEngine::try_close_epoch(PeData& pe) {
                                           std::memory_order_relaxed)) {
     return;  // somebody else won this close with the same g
   }
-  // Winner-only global side effects — the epoch-mode mirror of PE 0's block
-  // between barriers in gvt_round.
+  // Winner-only global side effects.
   const std::uint64_t round_idx =
       gvt_rounds_.fetch_add(1, std::memory_order_relaxed);
   shared_gvt_.store(g, std::memory_order_relaxed);
@@ -1374,14 +1201,13 @@ void TimeWarpEngine::try_close_epoch(PeData& pe) {
   ep_inflight_last_.store(peak, std::memory_order_relaxed);
   std::uint64_t& peak_metric = pe.metrics.at(Counter::GvtEpochInflightPeak);
   peak_metric = std::max(peak_metric, peak);
-  // Progress heart for the stall watchdog. The slices are readable here for
-  // the same reason bookkeeping may read them: every PE crossed (acquire
-  // above), and nobody overwrites before the acks complete.
+  // Progress heart for the stall watchdog: GVT and one engine-wide,
+  // monotone committed count — the sum of the per-PE beacons, whichever PE
+  // wins the close (a winner-local count would flip between PEs and read as
+  // progress on a wedged run).
   std::uint64_t wd_committed = ck_base_committed_;
-  if (slices_on_) {
-    for (const MonitorSlice& sl : mon_slices_) wd_committed += sl.committed;
-  } else {
-    wd_committed += pe.committed_at_last_gvt;
+  for (std::uint32_t p = 0; p < cfg_.num_pes; ++p) {
+    wd_committed += wd_beacons_[p].committed.load(std::memory_order_relaxed);
   }
   wd_heart_.gvt_bits.store(std::bit_cast<std::uint64_t>(g),
                            std::memory_order_relaxed);
@@ -1406,29 +1232,32 @@ bool TimeWarpEngine::epoch_close_bookkeeping(PeData& pe, std::uint64_t e) {
     fossil_collect(pe, gvt);
   }
   {
-    // Per-PE progress beacon, as in gvt_round (no quiescent inbox walk in
-    // epoch mode, so the inbox depth reads 0 here).
+    // Per-PE progress beacon for the stall dump and the watchdog heart: a
+    // handful of relaxed stores once per close, nothing on the event path.
     PeBeacon& b = wd_beacons_[pe.id];
     b.processed.store(pe.metrics.at(Counter::Processed),
                       std::memory_order_relaxed);
     b.committed.store(pe.metrics.at(Counter::Committed),
                       std::memory_order_relaxed);
     b.pending.store(pe.pending.size(), std::memory_order_relaxed);
-    b.inbox.store(0, std::memory_order_relaxed);
     const auto [wd_kp, wd_kp_events] = pe.forensics.top_offender();
     b.top_kp.store(wd_kp_events > 0 ? wd_kp : ~0u, std::memory_order_relaxed);
   }
   const std::uint64_t committed_delta =
       pe.metrics.at(Counter::Committed) - pe.committed_at_last_gvt;
   if (cfg_.adaptive_gvt && pe.processed_since_gvt > 0) {
-    // Identical commit-yield steering to gvt_round; the "round" is now the
-    // span between consecutive closes.
+    // Steer the effective interval by the commit yield since the previous
+    // close: committed (fossil collection just ran) over forward executions.
+    // Yield can exceed 1 when older optimistic work finally commits; clamp
+    // before comparing.
     const double yield_ratio =
         std::min(1.0, static_cast<double>(committed_delta) /
                           static_cast<double>(pe.processed_since_gvt));
+    const std::uint64_t rolled_back_delta =
+        pe.metrics.at(Counter::RolledBack) - pe.rolled_back_at_last_gvt;
     const std::uint32_t floor_interval =
         std::min(kGvtMinInterval, std::max(1u, cfg_.gvt_interval_events));
-    if (yield_ratio < kShrinkYield) {
+    if (yield_ratio < kShrinkYield && rolled_back_delta > committed_delta) {
       pe.effective_gvt_interval =
           std::max(floor_interval, pe.effective_gvt_interval / 2);
     } else if (yield_ratio > kGrowYield) {
@@ -1440,15 +1269,16 @@ bool TimeWarpEngine::epoch_close_bookkeeping(PeData& pe, std::uint64_t e) {
   if (HP_UNLIKELY(chaos_) && stall_active(pe)) {
     ++pe.metrics.at(Counter::ChaosStallRounds);
   }
-  // Checkpoint and migration rounds anchor to the close exactly as they
-  // anchor to the barrier round: every PE applies every close in order with
-  // identical replicated trigger inputs (the cut-published slices, ck_next_,
-  // the per-close local_rounds counter), so the all-or-none branches still
-  // hold and the barriers inside the rounds pair up — the PEs simply gather
-  // at them from their own loops instead of from a shared round. Traffic the
-  // quiesce loops move is tagged e+1 (every PE is in e+1 throughout, the ack
-  // gate holds e+2 shut) and drains pop-count as usual, so the next close's
-  // accounting stays balanced.
+  // Checkpoint and migration rounds anchor to the close: every PE applies
+  // every close in order with identical replicated trigger inputs (the
+  // cut-published slices, ck_next_, the per-close local_rounds counter), so
+  // the all-or-none branches hold and the barriers inside the rounds pair
+  // up — the PEs gather at them from their own loops. Traffic the quiesce
+  // loops move is tagged e+1 (every PE is in e+1 throughout, the ack gate
+  // holds e+2 shut) and drains pop-count as usual, so the next close's
+  // accounting stays balanced. round_moves is the engine-wide move count
+  // (identical on all PEs); only PE 0 records it in its series slice so the
+  // per-PE sum in run() yields the true total.
   if (HP_UNLIKELY(ck_on_) && gvt <= cfg_.end_time) {
     std::uint64_t committed = ck_base_committed_;
     for (const MonitorSlice& sl : mon_slices_) committed += sl.committed;
@@ -1484,6 +1314,8 @@ bool TimeWarpEngine::epoch_close_bookkeeping(PeData& pe, std::uint64_t e) {
       emit_monitor_record(e - 1, gvt);
     }
     if (HP_UNLIKELY(telemetry_)) {
+      // Live gauges from the cut-published slices: a partial counter set —
+      // the full array lands with the final snapshot in run().
       obs::GaugeSnapshot g;
       for (const MonitorSlice& sl : mon_slices_) {
         g.counters[static_cast<std::size_t>(Counter::Processed)] +=
@@ -1498,7 +1330,6 @@ bool TimeWarpEngine::epoch_close_bookkeeping(PeData& pe, std::uint64_t e) {
       g.gvt = gvt;
       g.round = e - 1;
       g.wall_seconds = static_cast<double>(now_ns - epoch_ns_) * 1e-9;
-      g.gvt_mode = 1;
       g.epoch = e;
       g.in_flight = ep_inflight_last_.load(std::memory_order_relaxed);
       hub_->publish_gauges(g);
@@ -1506,6 +1337,7 @@ bool TimeWarpEngine::epoch_close_bookkeeping(PeData& pe, std::uint64_t e) {
   }
   ++pe.local_rounds;
   pe.committed_at_last_gvt = pe.metrics.at(Counter::Committed);
+  pe.rolled_back_at_last_gvt = pe.metrics.at(Counter::RolledBack);
   pe.processed_since_gvt = 0;
   pe.idle_iters = 0;
   wd_beacons_[pe.id].set_phase(BeaconPhase::Execute);
@@ -1516,7 +1348,7 @@ bool TimeWarpEngine::epoch_close_bookkeeping(PeData& pe, std::uint64_t e) {
   return gvt > cfg_.end_time;
 }
 
-// Checkpoint at the GVT fence. Entered by every PE in the same round, after
+// Checkpoint at the GVT fence. Entered by every PE for the same close, after
 // fossil collection, so the committed prefix is exactly the events below
 // `gvt` and a cut "committed < {gvt,0,0,0,0} <= pending" exists once the
 // optimistic suffix is unwound. The protocol:
@@ -1655,7 +1487,6 @@ void TimeWarpEngine::emit_monitor_record(std::uint64_t round_idx, Time gvt) {
   const std::uint64_t now = obs::monotonic_ns();
   std::uint64_t processed = 0;
   std::uint64_t rolled_back = 0;
-  std::uint64_t inbox = 0;
   bool has_top = false;
   std::uint32_t top_kp = 0;
   std::uint64_t top_events = 0;
@@ -1666,7 +1497,6 @@ void TimeWarpEngine::emit_monitor_record(std::uint64_t round_idx, Time gvt) {
   for (const MonitorSlice& sl : mon_slices_) {
     processed += sl.processed;
     rolled_back += sl.rolled_back;
-    inbox += sl.inbox_depth;
     pool_live += sl.pool_live;
     pool_bytes += sl.pool_bytes;
     throttled_pes += sl.throttled ? 1 : 0;
@@ -1685,7 +1515,6 @@ void TimeWarpEngine::emit_monitor_record(std::uint64_t round_idx, Time gvt) {
   s.gvt = gvt;
   s.processed = processed - mon_last_processed_;
   s.rolled_back = rolled_back - mon_last_rolled_back_;
-  s.inbox_depth = inbox;
   const double dt = static_cast<double>(now - mon_last_ns_) * 1e-9;
   s.event_rate = dt > 0.0 ? static_cast<double>(s.processed) / dt : 0.0;
   s.rollback_rate = s.processed > 0 ? static_cast<double>(s.rolled_back) /
@@ -1708,23 +1537,20 @@ void TimeWarpEngine::emit_monitor_record(std::uint64_t round_idx, Time gvt) {
     s.commit_latency_p99_us =
         hub_->quantile_us(obs::LatencyMetric::CommitLatency, 0.99);
   }
-  s.gvt_mode = gvt_mode_name(cfg_.gvt_mode);
-  if (epoch_mode_) {
-    // Epoch-mode emits happen from close bookkeeping, where round_idx is
-    // the closed epoch minus one; the in-flight count is the close's
-    // latched peak of unmatched sends.
-    s.epoch = round_idx + 1;
-    s.in_flight = ep_inflight_last_.load(std::memory_order_relaxed);
-  }
+  // Emits happen from close bookkeeping, where round_idx is the closed epoch
+  // minus one; the in-flight count is the close's latched peak of unmatched
+  // sends.
+  s.epoch = round_idx + 1;
+  s.in_flight = ep_inflight_last_.load(std::memory_order_relaxed);
   monitor_->emit(s);
   mon_last_processed_ = processed;
   mon_last_rolled_back_ = rolled_back;
   mon_last_ns_ = now;
 }
 
-// Dynamic KP migration round. Called by every PE from inside gvt_round,
-// after barrier B of the GVT protocol, so the round index and the global
-// minimum are barrier-global knowledge. The protocol:
+// Dynamic KP migration round. Called by every PE from the bookkeeping of the
+// same close, so the round index and the close's GVT are identical on every
+// PE. The protocol:
 //
 //   1. Plan. Every PE runs the same pure planner (des/migration.hpp) over
 //      the same replicated inputs — the round slices plus its own snapshots
@@ -1749,7 +1575,7 @@ void TimeWarpEngine::emit_monitor_record(std::uint64_t round_idx, Time gvt) {
 // independent, so only delivery locality changes — never event order.
 void TimeWarpEngine::do_migration_round(PeData& pe, Time gvt) {
   const MigrationConfig& mc = cfg_.migration;
-  // Cadence off the barrier-global round counter: every PE takes this branch
+  // Cadence off the per-close round counter: every PE takes this branch
   // identically, so the barriers below always pair up.
   if ((pe.local_rounds + 1) % mc.interval_rounds != 0) return;
   if (gvt > cfg_.end_time) return;  // run is over; nothing left to balance
@@ -1779,12 +1605,12 @@ void TimeWarpEngine::do_migration_round(PeData& pe, Time gvt) {
 
   obs::PhaseScope phase(pe.probe, Phase::Migrate);
 
-  // Quiescence. The GVT barrier guarantees everything sent is fully linked
-  // in some inbox, but inboxes may be non-empty (the GVT walk is
-  // non-destructive) and draining can roll back and send antis, so loop
-  // until a full round moves nothing. A PE votes mig_again_ when it pushed
-  // anything or its inbox is still non-empty (a chaos batch-split can
-  // abandon a drain mid-stream).
+  // Quiescence. Every PE flushed its outboxes before its pump, so once all
+  // have met at the first barrier everything sent is fully linked in some
+  // inbox; but inboxes may be non-empty and draining can roll back and send
+  // antis, so loop until a full round moves nothing. A PE votes mig_again_
+  // when it pushed anything or its inbox is still non-empty (a chaos
+  // batch-split can abandon a drain mid-stream).
   while (true) {
     bar_a_.arrive_and_wait();
     if (pe.id == 0) mig_again_.store(false, std::memory_order_relaxed);
@@ -1801,8 +1627,8 @@ void TimeWarpEngine::do_migration_round(PeData& pe, Time gvt) {
 
   // Extract. Pending events leave the pending queue; processed events stay
   // on the KP's global deque but their uid index entries travel; chaos-held
-  // envelopes bound for the KP travel with their release round (the round
-  // counter is barrier-global, so it means the same thing at the
+  // envelopes bound for the KP travel with their release round (every PE
+  // counts closes identically, so it means the same thing at the
   // destination). The live-envelope accounting moves with the events so the
   // flow-control watermarks keep tracking each PE's own outstanding work.
   for (const KpMove& mv : plan) {
@@ -1900,19 +1726,13 @@ void TimeWarpEngine::run_pe(PeData& pe) {
     }
     // Publish everything staged by the last process_one and by any
     // drain-triggered rollbacks: one chain push per destination. Nothing
-    // staged ever survives past this point, so gvt_round's quiescence
-    // invariant holds by construction.
+    // staged ever survives past this point, so an epoch cut always finds
+    // the outboxes empty.
     flush_outboxes(pe);
-    if (HP_UNLIKELY(epoch_mode_)) {
-      // Asynchronous GVT: apply won closes, cut over if a round is
-      // requested, poll the close condition — and keep executing. No
-      // barrier, no `continue`; the whole point is that the request flag no
-      // longer stops this PE.
-      if (epoch_pump(pe)) break;
-    } else if (gvt_request_.load(std::memory_order_relaxed)) {
-      if (gvt_round(pe)) break;
-      continue;
-    }
+    // Asynchronous GVT: apply won closes, cut over if a round is requested,
+    // poll the close condition — and keep executing. The request flag never
+    // stops this PE; only the lead bound in next_event does.
+    if (epoch_pump(pe)) break;
     // Optimism flow control: one signed compare per iteration while Open
     // (the HP_LIKELY fast path inside), state transitions otherwise.
     if (HP_UNLIKELY(flow_on_)) update_flow_control(pe);
@@ -1937,10 +1757,7 @@ void TimeWarpEngine::run_pe(PeData& pe) {
     pe.idle_iters = 0;
     if (cfg_.adaptive_gvt) pe.idle_backoff = kIdleBackoffInit;
     process_one(pe, ev);
-    const std::uint32_t interval = cfg_.adaptive_gvt
-                                       ? pe.effective_gvt_interval
-                                       : cfg_.gvt_interval_events;
-    if (pe.processed_since_gvt >= interval) {
+    if (pe.processed_since_gvt >= pe.effective_gvt_interval) {
       gvt_request_.store(true, std::memory_order_relaxed);
       ++pe.metrics.at(Counter::GvtProgressTriggers);
     }
@@ -2073,12 +1890,9 @@ RunStats TimeWarpEngine::run() {
                cfg_.checkpoint.every;
   }
   slices_on_ = cfg_.obs.monitor || flow_on_ || mig_on_ || telemetry_ || ck_on_;
-  epoch_mode_ = cfg_.gvt_mode == EngineConfig::GvtMode::Epoch;
-  if (epoch_mode_) {
-    // Value-initialization runs the slot initializers: crossed = 1 (every PE
-    // starts inside epoch 1), counters and the receive ring at zero.
-    ep_slots_ = std::make_unique<EpochSlot[]>(cfg_.num_pes);
-  }
+  // Value-initialization runs the slot initializers: crossed = 1 (every PE
+  // starts inside epoch 1), counters and the receive ring at zero.
+  ep_slots_ = std::make_unique<EpochSlot[]>(cfg_.num_pes);
   if (cfg_.obs.monitor) {
     monitor_ = std::make_unique<obs::MonitorWriter>(cfg_.obs.monitor_path);
   }
@@ -2162,7 +1976,7 @@ RunStats TimeWarpEngine::run() {
   m.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   m.final_gvt = shared_gvt_.load();
 
-  // Merge the per-PE GVT series: rounds are barrier-global, so every ring
+  // Merge the per-PE GVT series: every PE applies every close, so every ring
   // retains the same window and the slices align index-by-index. Sum the
   // per-PE quantities; gvt and the timestamp come from PE 0.
   std::vector<obs::GvtRoundSample> series = pes_[0]->series.snapshot();
@@ -2176,7 +1990,6 @@ RunStats TimeWarpEngine::run() {
                 "GVT series rounds misaligned");
       series[i].processed += other[i].processed;
       series[i].committed += other[i].committed;
-      series[i].inbox_depth += other[i].inbox_depth;
       series[i].pool_envelopes += other[i].pool_envelopes;
       series[i].pool_live += other[i].pool_live;
       series[i].migrations += other[i].migrations;
@@ -2208,8 +2021,7 @@ RunStats TimeWarpEngine::run() {
     g.gvt = m.final_gvt;
     g.round = m.gvt_rounds;
     g.wall_seconds = m.wall_seconds;
-    g.gvt_mode = epoch_mode_ ? 1 : 0;
-    g.epoch = epoch_mode_ ? ep_closed_.load(std::memory_order_relaxed) : 0;
+    g.epoch = ep_closed_.load(std::memory_order_relaxed);
     g.in_flight = 0;  // run over; every send is matched
     hub_->publish_gauges(g);
     hub_->finalize_into(m);

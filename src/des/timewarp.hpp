@@ -25,18 +25,23 @@
 // model's reverse handler (or restoring snapshots in the state-saving
 // ablation mode).
 //
-// GVT is barrier-synchronized: a request flag gathers all PEs at barrier A
-// (after which nobody sends; outbound batches are flushed before arriving,
-// so every in-flight envelope is fully linked in some inbox), each publishes
-// min(pending, inbox) and meets barrier B, after which everybody knows the
-// global minimum, fossil-collects its own KPs and resumes. Termination when
-// GVT exceeds the end time.
+// GVT is asynchronous (Mattern-style epochs; docs/GVT.md): a request flag
+// makes every PE cut over to the next epoch at its next loop iteration,
+// publishing its local minimum and per-epoch send count into an EpochSlot
+// without stopping; receivers credit the sender's epoch when they pop an
+// envelope, and an epoch closes once every PE crossed it and its sends are
+// all received. Each PE then fossil-collects its own KPs below the close's
+// GVT. Lead bound: a PE that has processed its effective GVT interval since
+// the last close it applied executes nothing more until the next close
+// lands (it keeps draining and pumping the epoch). Termination when GVT
+// exceeds the end time.
 //
 // GVT pacing is adaptive by default (EngineConfig::adaptive_gvt): each PE
 // floats an effective interval in [kGvtMinInterval, gvt_interval_events]
-// scaled by the previous round's commit yield, and an idle PE requests GVT
+// scaled by the previous close's commit yield (shrinking only when the PE
+// also rolled back more than it committed), and an idle PE requests GVT
 // after an exponentially backed-off spin count (fast termination detection
-// without barrier storms). adaptive_gvt=false restores the fixed
+// without request storms). adaptive_gvt=false restores the fixed
 // gvt_interval_events / 256-spin thresholds.
 
 #include <array>
@@ -110,14 +115,17 @@ class TimeWarpEngine final : public Engine {
     // Outbound staging, indexed by destination PE; out_dirty lists the
     // destinations with a non-empty batch. Invariant: both are empty
     // whenever the PE is at the top of its scheduler loop past the flush
-    // (in particular on every gvt_round entry).
+    // (in particular at every epoch cut).
     std::vector<OutBatch> out;
     std::vector<std::uint32_t> out_dirty;
 
-    // Adaptive pacing state.
+    // Adaptive pacing state. effective_gvt_interval is both the request
+    // threshold and the lead bound on processed_since_gvt (fixed at
+    // max(1, gvt_interval_events) when adaptive_gvt is off).
     std::uint32_t effective_gvt_interval = 0;  // set from cfg at run start
     std::uint32_t idle_backoff = 0;            // current idle-trigger bound
     std::uint64_t committed_at_last_gvt = 0;
+    std::uint64_t rolled_back_at_last_gvt = 0;
     std::uint64_t processed_since_gvt = 0;
     std::uint32_t idle_iters = 0;
 
@@ -125,7 +133,7 @@ class TimeWarpEngine final : public Engine {
     // loop talks to `probe`, which charges `metrics` and records spans into
     // `trace` when tracing is on), plus this PE's share of the GVT-round
     // time series. Local round counter doubles as the ring's round index —
-    // rounds are barrier-global, so every PE counts them identically.
+    // every PE applies every close in order, so all PEs count identically.
     obs::PeMetrics metrics;
     obs::PhaseProbe probe;
     obs::TraceBuffer trace;
@@ -183,9 +191,9 @@ class TimeWarpEngine final : public Engine {
     std::uint64_t mig_decisions = 0;
     std::uint64_t mig_moves_total = 0;
 
-    // Epoch GVT (active only when cfg.gvt_mode == Epoch). local_epoch is the
-    // epoch this PE is currently executing in (numbered from 1); ep_done is
-    // the highest close whose bookkeeping this PE has already applied.
+    // Epoch GVT. local_epoch is the epoch this PE is currently executing in
+    // (numbered from 1); ep_done is the highest close whose bookkeeping this
+    // PE has already applied.
     // cur_epoch_sent / cur_epoch_sendmin accumulate this epoch's remote-send
     // count and minimum send timestamp until the next cut publishes them
     // into the PE's EpochSlot. ep_poll throttles close-condition polls;
@@ -216,17 +224,16 @@ class TimeWarpEngine final : public Engine {
     std::array<std::atomic<std::uint64_t>, 4> recvd{};  // by tag & 3
   };
 
-  // One cache line per PE of per-round state, written between GVT barriers A
-  // and B and read after barrier B — by PE 0 for the monitor heartbeat, and
-  // by every PE for the flow-control efficiency signal. The reads race with
-  // nothing: a writer only touches its slice after the *next* barrier A,
-  // which cannot complete until every reader has finished the current round
-  // and arrived at it.
+  // One cache line per PE of per-round state, written by its owner at each
+  // epoch cut and read during close bookkeeping — by PE 0 for the monitor
+  // heartbeat, and by every PE for the flow-control efficiency signal, the
+  // checkpoint trigger and the migration planner. The reads race with
+  // nothing: the next overwrite is the owner's cut into e+2, which the ack
+  // gate holds until every PE has finished the bookkeeping of close e.
   struct alignas(64) MonitorSlice {
     std::uint64_t processed = 0;    // cumulative forward executions
     std::uint64_t rolled_back = 0;  // cumulative events undone
     std::uint64_t committed = 0;    // cumulative commits as of the last round
-    std::uint64_t inbox_depth = 0;  // envelopes seen at this round's barrier
     bool has_top = false;
     std::uint32_t top_kp = 0;
     std::uint64_t top_kp_events = 0;
@@ -302,10 +309,7 @@ class TimeWarpEngine final : public Engine {
                    std::uint32_t offender_kp);
   void undo_event(PeData& pe, Event* ev);
   void process_one(PeData& pe, Event* ev);
-  // Returns true when the run is complete (GVT beyond end time).
-  bool gvt_round(PeData& pe);
-  // Epoch GVT (cfg.gvt_mode == Epoch): the per-iteration pump replacing the
-  // barrier-mode `if (gvt_request_) gvt_round()` branch. Applies any closes
+  // Epoch GVT, pumped once per scheduler iteration: applies any closes
   // other PEs have already won (epoch_close_bookkeeping, in order), crosses
   // into the next epoch when the request flag is up and the ack gate allows,
   // and polls the close condition (throttled). Returns true when a close's
@@ -321,28 +325,28 @@ class TimeWarpEngine final : public Engine {
   // ep_closed_ forward and takes the global side-effects (shared GVT, round
   // count, request-flag clear).
   void try_close_epoch(PeData& pe);
-  // Per-PE bookkeeping for a won close of epoch `e` — the epoch-mode mirror
-  // of gvt_round's post-barrier-B tail: fossil, flow window, checkpoint and
-  // migration rounds, series/monitor, pacing resets. Acks the close last so
+  // Per-PE bookkeeping for a won close of epoch `e` — the one post-GVT
+  // path: fossil, flow window, checkpoint and migration rounds,
+  // series/monitor/gauges, pacing resets. Acks the close last so
   // crossings into e+2 (which overwrite slot e's fields) wait for every
   // reader. Returns true when gvt ends the run.
   bool epoch_close_bookkeeping(PeData& pe, std::uint64_t e);
-  // Fill this PE's MonitorSlice (shared between barrier and epoch modes).
-  void publish_slice(PeData& pe, std::uint64_t inbox_depth);
-  // Checkpoint at the GVT fence, entered from gvt_round by every PE in the
-  // same round (the trigger reads only barrier-published slice data): roll
+  // Fill this PE's MonitorSlice at an epoch cut.
+  void publish_slice(PeData& pe);
+  // Checkpoint at the GVT fence, entered from close bookkeeping by every PE
+  // for the same close (the trigger reads only cut-published slice data): roll
   // every owned KP back to {gvt,0,0,0,0}, quiesce the traffic the sweep put
   // in flight, drain pending into the per-PE stage, PE 0 serializes while
   // the others park at a barrier, then everybody reinserts and resumes.
   void checkpoint_round(PeData& pe, Time gvt);
-  // Dynamic KP migration, called inside gvt_round after the global minimum
+  // Dynamic KP migration, called from close bookkeeping once the close's GVT
   // is known: every PE plans identically from the round slices, then the
   // affected PEs execute the stop-the-world handoff (quiescence loop,
   // extract, integrate, ownership flip + epoch bump). No-op on rounds the
   // planner is idle. `gvt` is this round's global minimum.
   void do_migration_round(PeData& pe, Time gvt);
-  // PE 0 only, after barrier B: aggregate the monitor slices and emit one
-  // JSON-lines heartbeat record.
+  // PE 0 only, from close bookkeeping: aggregate the monitor slices and emit
+  // one JSON-lines heartbeat record.
   void emit_monitor_record(std::uint64_t round_idx, Time gvt);
   void fossil_collect(PeData& pe, Time gvt);
   Event* next_event(PeData& pe);
@@ -373,15 +377,16 @@ class TimeWarpEngine final : public Engine {
   std::vector<std::unique_ptr<TwCtx>> fwd_ctx_;
   std::vector<std::unique_ptr<TwCtx>> rev_ctx_;
 
+  // Stop-the-world pair for checkpoint and migration rounds only; GVT itself
+  // never parks a PE.
   std::barrier<> bar_a_;
   std::barrier<> bar_b_;
   std::atomic<bool> gvt_request_{false};
-  std::vector<Time> local_min_;  // indexed by PE, padded writes are fine here
   std::atomic<std::uint64_t> gvt_rounds_{0};
   std::atomic<Time> shared_gvt_{0.0};
   std::uint64_t epoch_ns_ = 0;  // run-start timestamp for series/trace
 
-  // Epoch GVT (cfg.gvt_mode == Epoch; see docs/GVT.md). ep_closed_ is the
+  // Epoch GVT (see docs/GVT.md). ep_closed_ is the
   // highest epoch whose close has been won (monotone, CAS-advanced by the
   // winning PE); ep_gvt_bits_ carries that close's GVT — a single slot
   // suffices because the ack gate forbids closing e+1 before every PE
@@ -389,7 +394,6 @@ class TimeWarpEngine final : public Engine {
   // completions (close e fully applied once it reaches e * num_pes), which
   // gates crossings into e+2. The inflight pair feeds the obs series: peak
   // unmatched sends observed while polling, latched per close.
-  bool epoch_mode_ = false;
   std::unique_ptr<EpochSlot[]> ep_slots_;
   std::atomic<std::uint64_t> ep_closed_{0};
   std::atomic<std::uint64_t> ep_gvt_bits_{0};

@@ -3,36 +3,16 @@
 #include <unistd.h>
 
 #include <bit>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
+#include "util/cli.hpp"
+
 namespace hp::des {
 
 namespace {
-
-bool parse_u64(std::string_view s, std::uint64_t& out) {
-  if (s.empty() || s.front() == '-') return false;
-  std::string buf(s);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(buf.c_str(), &end, 10);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  out = v;
-  return true;
-}
-
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
 
 // write(2) the whole buffer; best-effort (nothing sensible to do on error
 // while crashing).
@@ -54,7 +34,7 @@ bool WatchdogConfig::parse(std::string_view spec, WatchdogConfig& out,
   std::string_view rest = spec;
   while (!rest.empty()) {
     const std::size_t comma = rest.find(',');
-    std::string_view pair = trim(rest.substr(0, comma));
+    std::string_view pair = util::trim(rest.substr(0, comma));
     rest = comma == std::string_view::npos ? std::string_view{}
                                            : rest.substr(comma + 1);
     if (pair.empty()) continue;
@@ -63,17 +43,17 @@ bool WatchdogConfig::parse(std::string_view spec, WatchdogConfig& out,
       err = "watchdog: expected key=value, got '" + std::string(pair) + "'";
       return false;
     }
-    const std::string_view key = trim(pair.substr(0, eq));
-    const std::string_view val = trim(pair.substr(eq + 1));
+    const std::string_view key = util::trim(pair.substr(0, eq));
+    const std::string_view val = util::trim(pair.substr(eq + 1));
     if (key == "timeout") {
-      if (!parse_u64(val, cfg.timeout_ms) || cfg.timeout_ms == 0) {
+      if (!util::parse_u64(val, cfg.timeout_ms) || cfg.timeout_ms == 0) {
         err = "watchdog: timeout expects a positive millisecond count, got '" +
               std::string(val) + "'";
         return false;
       }
       saw_timeout = true;
     } else if (key == "poll") {
-      if (!parse_u64(val, cfg.poll_ms) || cfg.poll_ms == 0) {
+      if (!util::parse_u64(val, cfg.poll_ms) || cfg.poll_ms == 0) {
         err = "watchdog: poll expects a positive millisecond count, got '" +
               std::string(val) + "'";
         return false;
@@ -125,14 +105,11 @@ void dump_stall_diagnostics(const char* reason,
     const double gvt = std::bit_cast<double>(
         scope.heart->gvt_bits.load(std::memory_order_relaxed));
     n = std::snprintf(
-        buf, sizeof(buf),
-        "gvt %.17g  committed %llu  gvt-rounds %llu  activity %llu\n", gvt,
+        buf, sizeof(buf), "gvt %.17g  committed %llu  gvt-rounds %llu\n", gvt,
         static_cast<unsigned long long>(
             scope.heart->committed.load(std::memory_order_relaxed)),
         static_cast<unsigned long long>(
-            scope.heart->rounds.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            scope.heart->activity.load(std::memory_order_relaxed)));
+            scope.heart->rounds.load(std::memory_order_relaxed)));
     if (n > 0) emit(buf, static_cast<std::size_t>(n));
   }
 
@@ -151,7 +128,7 @@ void dump_stall_diagnostics(const char* reason,
     n = std::snprintf(
         buf, sizeof(buf),
         "PE %2u  phase %-11s  processed %10llu  committed %10llu  "
-        "pending %8llu  inbox %6llu  top-offender-kp %s\n",
+        "pending %8llu  top-offender-kp %s\n",
         pe, beacon_phase_name(phase),
         static_cast<unsigned long long>(
             b.processed.load(std::memory_order_relaxed)),
@@ -159,8 +136,6 @@ void dump_stall_diagnostics(const char* reason,
             b.committed.load(std::memory_order_relaxed)),
         static_cast<unsigned long long>(
             b.pending.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            b.inbox.load(std::memory_order_relaxed)),
         kp_buf);
     if (n > 0) emit(buf, static_cast<std::size_t>(n));
   }
@@ -195,8 +170,6 @@ void Watchdog::poll_loop(std::stop_token st) {
       scope_.heart->gvt_bits.load(std::memory_order_relaxed);
   std::uint64_t last_committed =
       scope_.heart->committed.load(std::memory_order_relaxed);
-  std::uint64_t last_activity =
-      scope_.heart->activity.load(std::memory_order_relaxed);
   Clock::time_point last_progress = Clock::now();
   while (!st.stop_requested()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(cfg_.poll_ms));
@@ -205,18 +178,12 @@ void Watchdog::poll_loop(std::stop_token st) {
         scope_.heart->gvt_bits.load(std::memory_order_relaxed);
     const std::uint64_t committed =
         scope_.heart->committed.load(std::memory_order_relaxed);
-    const std::uint64_t activity =
-        scope_.heart->activity.load(std::memory_order_relaxed);
-    // Any frontier moving counts as progress: a Blocked PE waiting out the
-    // pool budget advances committed without advancing GVT for a while, a
-    // chaos straggler can advance GVT without committing locally, and an
-    // epoch-GVT run crossing into a new epoch (activity) is live even while
-    // GVT and the committed count hold still until the close.
-    if (gvt_bits != last_gvt_bits || committed != last_committed ||
-        activity != last_activity) {
+    // Either frontier moving counts as progress: a Blocked PE waiting out
+    // the pool budget advances committed without advancing GVT for a while,
+    // and a chaos straggler can advance GVT without committing locally.
+    if (gvt_bits != last_gvt_bits || committed != last_committed) {
       last_gvt_bits = gvt_bits;
       last_committed = committed;
-      last_activity = activity;
       last_progress = Clock::now();
       continue;
     }

@@ -10,10 +10,10 @@
 // GVT round and nothing per event). A monitor thread polls the heart every
 // poll_ms: as long as GVT or the committed-event count moves, the run is
 // making progress — including legitimately Blocked PEs waiting out the pool
-// budget, and chaos-stalled PEs that keep joining barriers. Only when BOTH
+// budget, and chaos-stalled PEs that keep closing GVT epochs. Only when BOTH
 // are flat for timeout_ms does the watchdog escalate: it writes a per-PE
-// dump (phase, processed/committed counts, pending/inbox depths, last GVT,
-// top rollback-offender KP) straight to stderr with snprintf + write(2) —
+// dump (phase, processed/committed counts, pending depth, last GVT, top
+// rollback-offender KP) straight to stderr with snprintf + write(2) —
 // no allocation, no locks, nothing that could itself wedge — and terminates
 // with a distinct exit code so harnesses can tell "stalled" from "crashed".
 //
@@ -53,7 +53,7 @@ struct WatchdogConfig {
 enum class BeaconPhase : std::uint8_t {
   Init = 0,
   Execute,     // processing events
-  GvtBarrier,  // parked in a GVT reduction barrier
+  GvtBarrier,  // parked in a window, checkpoint or migration barrier
   Fossil,      // committing + reclaiming behind GVT
   Migration,   // KP migration quiesce/handoff
   Checkpoint,  // checkpoint fence rollback/quiesce/serialize
@@ -72,7 +72,6 @@ struct alignas(64) PeBeacon {
   std::atomic<std::uint64_t> processed{0};
   std::atomic<std::uint64_t> committed{0};
   std::atomic<std::uint64_t> pending{0};
-  std::atomic<std::uint64_t> inbox{0};
   std::atomic<std::uint32_t> top_kp{~0u};  // worst rollback offender, if any
 
   void set_phase(BeaconPhase p) noexcept {
@@ -81,19 +80,14 @@ struct alignas(64) PeBeacon {
 };
 
 // Run-global progress heart. GVT travels as its bit pattern so the beacon
-// stays lock-free on platforms without atomic<double>.
+// stays lock-free on platforms without atomic<double>. `committed` must be
+// one engine-wide monotone count (Time Warp feeds the sum of the per-PE
+// beacons): any value that can change without a commit reads as progress
+// and hides a wedge.
 struct WatchdogHeart {
   std::atomic<std::uint64_t> gvt_bits{0};
   std::atomic<std::uint64_t> committed{0};
   std::atomic<std::uint64_t> rounds{0};
-  // Protocol liveness ticks that are not yet commits: epoch-GVT bumps this
-  // at every epoch crossing, so a long-but-progressing epoch (GVT and the
-  // committed count both flat until the close) is not misreported as a
-  // wedge. The cost: a run whose epochs never close looks alive to the
-  // watchdog for as long as PEs keep crossing — the close-serialization ack
-  // gate bounds that to one uncommitted epoch, after which crossings stop
-  // and the flat window starts. Barrier mode never writes it.
-  std::atomic<std::uint64_t> activity{0};
 };
 
 // Everything the dump needs, bundled so the fail_fast callback can carry it

@@ -42,10 +42,10 @@ namespace hp::obs {
 enum class Phase : std::uint8_t {
   Forward,     // model forward handlers + event scheduling
   Rollback,    // undoing events, cancelling/annihilating children
-  GvtBarrier,  // GVT round barriers + minima exchange
+  GvtBarrier,  // conservative window barrier + minima exchange
   Fossil,      // committing + reclaiming the stable prefix
   InboxDrain,  // popping the MPSC inbox, delivering remote events
-  Idle,        // no executable work (window closed / starved / spinning)
+  Idle,        // no executable work (window or lead bound / starved / spinning)
   Throttled,   // optimism flow control capping this PE (soft/hard watermark)
   Migrate,     // KP migration handoff: quiescence drain + state transfer
   Checkpoint,  // checkpoint fence rollback, quiescence and serialization
@@ -114,7 +114,7 @@ enum class Counter : std::uint8_t {
   MigrationRounds,     // GVT rounds that executed a migration handoff
   TelemetryDropped,    // latency samples dropped on telemetry-ring overflow
   Checkpoints,         // checkpoint images written (PE 0 / sequential only)
-  GvtEpochCloses,      // epoch-GVT: epochs closed (== gvt rounds in epoch mode)
+  GvtEpochCloses,      // epoch-GVT: epochs closed (== Time Warp gvt rounds)
   GvtEpochInflightPeak,// epoch-GVT: peak unmatched sends seen at a close poll
   kCount
 };
@@ -250,12 +250,13 @@ struct GvtRoundSample {
   double gvt = 0.0;                 // the global minimum this round agreed on
   std::uint64_t processed = 0;      // forward executions since the last round
   std::uint64_t committed = 0;      // events fossil-committed this round
-  std::uint64_t inbox_depth = 0;    // envelopes seen in inboxes at barrier B
+  std::uint64_t inbox_depth = 0;    // conservative: inbox envelopes at the
+                                    // window barrier (0 under Time Warp)
   std::uint64_t pool_envelopes = 0; // envelope storage capacity so far
   std::uint64_t pool_live = 0;      // outstanding envelopes at this round
   std::uint64_t migrations = 0;     // KP moves executed this round
   std::uint64_t pool_bytes = 0;     // slab bytes owned by the pool(s)
-  // Epoch-GVT extras (0 in barrier mode). Appended last: samples are
+  // Epoch-GVT extras (Time Warp only). Appended last: samples are
   // positionally aggregate-initialized at the kernels' push sites.
   std::uint64_t epoch_dur_ns = 0;   // wall time this epoch stayed open
   std::uint64_t in_flight = 0;      // peak unmatched sends during the epoch

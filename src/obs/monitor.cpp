@@ -40,14 +40,12 @@ void MonitorWriter::emit(const MonitorSample& s) {
     w.kv("rolled_back", s.rolled_back);
     w.kv("event_rate", s.event_rate);
     w.kv("rollback_rate", s.rollback_rate);
-    w.kv("inbox_depth", s.inbox_depth);
     w.kv("pool_live", s.pool_live);
     w.kv("pool_bytes", s.pool_bytes);
     w.kv("throttled_pes", s.throttled_pes);
     w.kv("blocked_pes", s.blocked_pes);
     w.kv("kp_migrations", s.kp_migrations);
     w.kv("mapping_epoch", s.mapping_epoch);
-    w.kv("gvt_mode", s.gvt_mode);
     w.kv("epoch", s.epoch);
     w.kv("in_flight", s.in_flight);
     if (s.has_commit_latency) {

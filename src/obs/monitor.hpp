@@ -8,7 +8,7 @@
 //
 //   {"round":42,"t_seconds":1.03,"gvt":512.0,"processed":81920,
 //    "rolled_back":4096,"event_rate":2.1e6,"rollback_rate":0.05,
-//    "inbox_depth":12,"top_offender_kp":7,"top_offender_events":1833}
+//    "epoch":43,"in_flight":12,"top_offender_kp":7,"top_offender_events":1833}
 //
 // Rates are momentary (deltas since the previous record over the wall time
 // between them). The top offender comes from the rollback-forensics per-KP
@@ -34,15 +34,14 @@ struct MonitorSample {
   double gvt = 0.0;              // this round's global minimum
   std::uint64_t processed = 0;   // forward executions since the last record
   std::uint64_t rolled_back = 0; // events undone since the last record
-  std::uint64_t inbox_depth = 0; // envelopes across all inboxes at barrier B
   double event_rate = 0.0;       // processed / wall seconds since last record
   double rollback_rate = 0.0;    // rolled_back / processed (this record)
   bool has_offender = false;     // forensics heatmap had any offender yet
   std::uint32_t top_offender_kp = 0;
   std::uint64_t top_offender_events = 0;
   // Optimism flow control (all zero when no pool budget is configured):
-  // outstanding envelopes across all pools at barrier B, and how many PEs
-  // were throttled / hard-blocked when they published their round slice.
+  // outstanding envelopes across all pools at the epoch cuts, and how many
+  // PEs were throttled / hard-blocked when they published their round slice.
   // pool_bytes is the slab storage owned by all pools (always populated).
   std::uint64_t pool_live = 0;
   std::uint64_t pool_bytes = 0;
@@ -58,11 +57,9 @@ struct MonitorSample {
   // has_commit_latency is set (telemetry off keeps old streams unchanged).
   bool has_commit_latency = false;
   double commit_latency_p99_us = 0.0;
-  // GVT algorithm (EngineConfig::gvt_mode): "barrier" or "epoch". Under the
-  // epoch algorithm, `epoch` is the epoch number the emitting close just
-  // retired and `in_flight` is that close's latched peak of sent-but-not-
-  // yet-received envelopes; both stay 0 in barrier mode.
-  const char* gvt_mode = "barrier";
+  // Epoch GVT: `epoch` is the epoch number the emitting close just retired
+  // and `in_flight` is that close's latched peak of sent-but-not-yet-
+  // received envelopes (the channel occupancy).
   std::uint64_t epoch = 0;
   std::uint64_t in_flight = 0;
 };

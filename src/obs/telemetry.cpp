@@ -253,9 +253,6 @@ std::string TelemetryHub::render_locked() const {
     out += "# TYPE hp_wall_seconds gauge\nhp_wall_seconds ";
     append_double(out, gauges_.wall_seconds);
     out += "\n";
-    out += "# HELP hp_gvt_mode GVT algorithm (0 = barrier, 1 = epoch).\n";
-    out += "# TYPE hp_gvt_mode gauge\nhp_gvt_mode " +
-           std::to_string(gauges_.gvt_mode) + "\n";
     out += "# TYPE hp_gvt_epoch gauge\nhp_gvt_epoch " +
            std::to_string(gauges_.epoch) + "\n";
     out += "# HELP hp_gvt_in_flight Peak unmatched sends at the last epoch "

@@ -1,10 +1,56 @@
 #include "util/cli.hpp"
 
+#include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <string_view>
 
 namespace hp::util {
+
+namespace {
+
+template <typename T>
+bool parse_unsigned(std::string_view s, T& out) {
+  // A leading digit rules out signs and whitespace (strtoull would accept
+  // both, and wrap "-1"); from_chars reports overflow of T as out of range.
+  if (s.empty() || s.front() < '0' || s.front() > '9') return false;
+  T v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || end != s.data() + s.size()) return false;
+  out = v;
+  return true;
+}
+
+}  // namespace
+
+bool parse_u64(std::string_view s, std::uint64_t& out) {
+  return parse_unsigned(s, out);
+}
+
+bool parse_u32(std::string_view s, std::uint32_t& out) {
+  return parse_unsigned(s, out);
+}
+
+bool parse_double(std::string_view s, double& out) {
+  if (s.empty()) return false;
+  const std::string buf(s);
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(buf.c_str(), &end);
+  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
+  out = v;
+  return true;
+}
+
+std::string_view trim(std::string_view s) {
+  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
+    s.remove_prefix(1);
+  }
+  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
+    s.remove_suffix(1);
+  }
+  return s;
+}
 
 Cli::Cli(int argc, char** argv, std::map<std::string, std::string> spec)
     : program_(argc > 0 ? argv[0] : "?"), spec_(std::move(spec)) {

@@ -8,6 +8,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hp::util {
@@ -36,5 +37,17 @@ class Cli {
   std::map<std::string, std::string> spec_;
   std::map<std::string, std::string> values_;
 };
+
+// Value parsers shared by every key=value spec grammar (--gvt, --chaos,
+// --migrate, --checkpoint, --watchdog, --fc). The integer parsers take plain
+// decimal digits only — no sign, no whitespace, no trailing junk — and
+// reject values outside the destination type instead of wrapping them.
+// parse_double takes anything strtod consumes whole. All three leave `out`
+// untouched on failure.
+bool parse_u64(std::string_view s, std::uint64_t& out);
+bool parse_u32(std::string_view s, std::uint32_t& out);
+bool parse_double(std::string_view s, double& out);
+// Strips leading and trailing spaces and tabs.
+std::string_view trim(std::string_view s);
 
 }  // namespace hp::util

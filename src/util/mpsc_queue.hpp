@@ -17,8 +17,8 @@
 //    not yet linked its predecessor ("mid-push"). Such nodes become visible
 //    once the producer's release store lands; the consumer simply retries
 //    on its next drain. After a synchronization point that orders all
-//    producers before the consumer (the GVT barrier), the list is fully
-//    linked and pop/unsafe_for_each observe every pushed node.
+//    producers before the consumer (a checkpoint or migration barrier), the
+//    list is fully linked and pop observes every pushed node.
 //
 // Memory ordering: push publishes with a release store of prev->next; pop
 // reads next with acquire. Everything a producer wrote to the node (and to
@@ -98,17 +98,6 @@ class MpscQueue {
   // producer's link lands.
   bool empty_hint() const noexcept {
     return head_ == &stub_ && tail_.load(std::memory_order_acquire) == &stub_;
-  }
-
-  // Non-destructive traversal of all unconsumed nodes. Only valid when all
-  // producers are quiescent and ordered before the caller (e.g. inside the
-  // GVT barrier section); otherwise mid-push gaps would truncate the walk.
-  template <typename Fn>
-  void unsafe_for_each(Fn&& fn) const {
-    for (const MpscNode* n = head_; n != nullptr;
-         n = n->mpsc_next.load(std::memory_order_acquire)) {
-      if (n != &stub_) fn(*static_cast<const T*>(n));
-    }
   }
 
  private:

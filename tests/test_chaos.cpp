@@ -75,6 +75,7 @@ TEST(FaultPlanParse, RejectsMalformedSpecs) {
       "delay:p=nope",          // non-numeric
       "delay:p=0.5x",          // trailing junk
       "delay:p=0.2,k=0",       // zero hold rounds
+      "delay:p=0.2,k=4294967296",  // hold rounds overflow 32 bits
       "delay:q=0.2",           // unknown key
       "reorder:p=",            // empty value
       "straggler:p=0.2,m=abc", // non-numeric margin
@@ -185,6 +186,7 @@ TEST(ChaosMatrix, ChaoticRunIsRepeatable) {
 
 constexpr auto kSplay = EngineConfig::QueueKind::Splay;
 constexpr auto kMSet = EngineConfig::QueueKind::Multiset;
+constexpr auto kLadder = EngineConfig::QueueKind::Ladder;
 
 constexpr ChaosCase kDelay = {"delay", "delay:p=0.3,k=2;seed=7",
                               Counter::ChaosDelayedEvents};
@@ -211,10 +213,18 @@ INSTANTIATE_TEST_SUITE_P(
                       ChaosKnobs{kDupAnti, kSplay},
                       ChaosKnobs{kDupAnti, kMSet}, ChaosKnobs{kStall, kSplay},
                       ChaosKnobs{kCombined, kSplay},
-                      ChaosKnobs{kCombined, kMSet}),
+                      ChaosKnobs{kCombined, kMSet},
+                      // The default pending set under every fault.
+                      ChaosKnobs{kDelay, kLadder},
+                      ChaosKnobs{kReorder, kLadder},
+                      ChaosKnobs{kStraggler, kLadder},
+                      ChaosKnobs{kDupAnti, kLadder},
+                      ChaosKnobs{kStall, kLadder},
+                      ChaosKnobs{kCombined, kLadder}),
     [](const auto& info) {
+      const EngineConfig::QueueKind q = info.param.queue;
       return std::string(info.param.fault.name) +
-             (info.param.queue == kSplay ? "_splay" : "_mset");
+             (q == kSplay ? "_splay" : q == kLadder ? "_ladder" : "_mset");
     });
 
 // Full-stack variant: hot-potato torus through the core facade; the whole

@@ -84,9 +84,9 @@ TEST(MetricsDoc, CoversEveryMonitorKey) {
   const char* keys[] = {
       "round",         "t_seconds",    "gvt",
       "processed",     "rolled_back",  "event_rate",
-      "rollback_rate", "inbox_depth",  "pool_live",
+      "rollback_rate", "pool_live",
       "pool_bytes",    "throttled_pes", "blocked_pes",
-      "kp_migrations", "mapping_epoch", "gvt_mode",
+      "kp_migrations", "mapping_epoch",
       "epoch",         "in_flight",    "commit_latency_p99_us",
       "top_offender_kp", "top_offender_events",
   };
@@ -105,8 +105,8 @@ TEST(CliDoc, CoversTheUserFacingFlagSet) {
       "--metrics-out=", "--checkpoint=", "--restore=", "--watchdog=",
       "--gvt=",
   };
-  // ...and the full --gvt= grammar: both algorithm names and both keys.
-  for (const char* k : {"mode=", "barrier", "epoch", "interval="}) {
+  // ...and the full --gvt= grammar: its one key.
+  for (const char* k : {"interval="}) {
     EXPECT_TRUE(mentions(doc, k))
         << "docs/CLI.md does not document --gvt= key '" << k << "'";
   }
@@ -161,15 +161,15 @@ TEST(ArchitectureDoc, DescribesCheckpointRestoreAndFailureHandling) {
   }
 }
 
-// The GVT protocol document: both algorithms, the transient-message
-// accounting that makes the asynchronous close sound, and the rounds that
-// anchor to a close.
+// The GVT protocol document: the epoch algorithm and the barrier one it
+// replaced, the transient-message accounting that makes the asynchronous
+// close sound, the lead bound, and the rounds that anchor to a close.
 TEST(GvtDoc, DescribesBothAlgorithmsAndTheAccountingArgument) {
   const std::string doc = read_file("docs/GVT.md");
   for (const char* s :
        {"barrier", "epoch", "Mattern", "transient", "cut", "send",
         "receive", "in flight", "fossil", "checkpoint", "migration",
-        "commit", "ack", "monotone", "gvt_mode"}) {
+        "commit", "ack", "monotone", "Lead bound"}) {
     EXPECT_TRUE(mentions(doc, s)) << "missing GVT term '" << s << "'";
   }
 }

@@ -70,6 +70,7 @@ constexpr auto kAgg = EngineConfig::Cancellation::Aggressive;
 constexpr auto kLazy = EngineConfig::Cancellation::Lazy;
 constexpr auto kSplay = EngineConfig::QueueKind::Splay;
 constexpr auto kMSet = EngineConfig::QueueKind::Multiset;
+constexpr auto kLadder = EngineConfig::QueueKind::Ladder;
 
 INSTANTIATE_TEST_SUITE_P(
     KnobSweep, EngineMatrix,
@@ -85,13 +86,21 @@ INSTANTIATE_TEST_SUITE_P(
         Knobs{4, 16, 5.0, kMSet, kAgg, true},
         Knobs{3, 12, 2.0, kSplay, kLazy, true},
         Knobs{8, 24, 10.0, kSplay, kAgg, false},
-        Knobs{8, 24, 0.0, kMSet, kLazy, false}),
+        Knobs{8, 24, 0.0, kMSet, kLazy, false},
+        // The default pending set, which every engine runs unless told
+        // otherwise.
+        Knobs{2, 8, 0.0, kLadder, kAgg, false},
+        Knobs{4, 16, 0.0, kLadder, kLazy, false},
+        Knobs{4, 16, 5.0, kLadder, kAgg, true},
+        Knobs{8, 24, 10.0, kLadder, kLazy, false}),
     [](const auto& info) {
       const Knobs& k = info.param;
       std::string name = "pe" + std::to_string(k.pes) + "_kp" +
                          std::to_string(k.kps) + "_w" +
                          std::to_string(static_cast<int>(k.window)) +
-                         (k.queue == kSplay ? "_splay" : "_mset") +
+                         (k.queue == kSplay    ? "_splay"
+                          : k.queue == kLadder ? "_ladder"
+                                               : "_mset") +
                          (k.cancellation == kLazy ? "_lazy" : "_agg") +
                          (k.state_saving ? "_ss" : "_rc");
       return name;

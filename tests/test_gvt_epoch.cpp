@@ -1,15 +1,16 @@
 // Asynchronous epoch-based GVT tests (docs/GVT.md).
 //
-// The invariant under test: GVT is pure bookkeeping, so switching the
-// algorithm from the synchronized barrier to Mattern-style epochs must
-// never change committed state — every epoch-mode run commits bit-identical
-// results to the barrier run AND to the sequential reference, across the
+// The invariant under test: GVT is pure bookkeeping, so Time Warp under
+// Mattern-style epochs must never change committed state — every run
+// commits bit-identical results to the sequential reference, across the
 // chaos / migration / checkpoint / pool-budget matrix. The epoch-specific
 // counters prove the asynchronous path actually ran (closes happened,
-// transient messages were accounted).
+// transient messages were accounted), and the lead bound is pinned on the
+// row where its absence let optimism run away.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -28,37 +29,41 @@ using obs::Counter;
 
 // ---------------------------------------------------------------- parsing
 
-TEST(GvtSpecParse, AcceptsModesAndInterval) {
+TEST(GvtSpecParse, AcceptsInterval) {
   EngineConfig cfg;
   std::string err;
-  ASSERT_TRUE(parse_gvt_spec("mode=barrier", cfg, err)) << err;
-  EXPECT_EQ(cfg.gvt_mode, EngineConfig::GvtMode::Barrier);
-
-  ASSERT_TRUE(parse_gvt_spec("mode=epoch", cfg, err)) << err;
-  EXPECT_EQ(cfg.gvt_mode, EngineConfig::GvtMode::Epoch);
-
-  ASSERT_TRUE(parse_gvt_spec(" mode = epoch , interval = 512 ", cfg, err))
-      << err;
-  EXPECT_EQ(cfg.gvt_mode, EngineConfig::GvtMode::Epoch);
+  ASSERT_TRUE(parse_gvt_spec(" interval = 512 ", cfg, err)) << err;
   EXPECT_EQ(cfg.gvt_interval_events, 512u);
+  ASSERT_TRUE(parse_gvt_spec("interval=4294967295", cfg, err)) << err;
+  EXPECT_EQ(cfg.gvt_interval_events, 4294967295u);
 }
 
-TEST(GvtSpecParse, ModeNamesRoundTrip) {
-  EXPECT_STREQ(gvt_mode_name(EngineConfig::GvtMode::Barrier), "barrier");
-  EXPECT_STREQ(gvt_mode_name(EngineConfig::GvtMode::Epoch), "epoch");
+// Epoch GVT is the only protocol: the retired mode= key is rejected in every
+// spelling, so a stale script fails loudly instead of silently running a
+// protocol it did not ask for.
+TEST(GvtSpecParse, RejectsRetiredModeKey) {
+  for (const char* spec : {"mode=epoch", "mode=barrier",
+                           "mode=epoch,interval=512",
+                           "interval=512,mode=barrier"}) {
+    EngineConfig cfg;
+    std::string err;
+    EXPECT_FALSE(parse_gvt_spec(spec, cfg, err)) << "accepted: " << spec;
+    EXPECT_NE(err.find("mode"), std::string::npos) << err;
+  }
 }
 
 TEST(GvtSpecParse, RejectsMalformedSpecs) {
   const char* bad[] = {
-      "",                    // mode= is required
-      "interval=512",        // interval alone: mode still required
-      "mode=",               // empty mode
-      "mode=async",          // unknown mode
-      "mode=epoch,interval=0",    // zero interval
-      "mode=epoch,interval=-4",   // negative
-      "mode=epoch,interval=abc",  // non-numeric
-      "mode=epoch,cadence=4",     // unknown key
-      "epoch",               // not key=value
+      "",                     // interval= is required
+      "interval=",            // empty value
+      "interval=0",           // zero interval
+      "interval=-4",          // negative
+      "interval=+4",          // sign
+      "interval=abc",         // non-numeric
+      "interval=12x",         // trailing junk
+      "interval=4294967296",  // overflows the 32-bit interval
+      "cadence=4",            // unknown key
+      "epoch",                // not key=value
   };
   for (const char* spec : bad) {
     EngineConfig cfg;
@@ -106,22 +111,17 @@ std::uint64_t sequential_digest() {
 
 class EpochIdentity : public ::testing::TestWithParam<std::uint32_t> {};
 
-// Epoch mode commits bit-identical state to barrier mode and sequential at
-// every PE count, and actually closed epochs on the parallel runs.
-TEST_P(EpochIdentity, MatchesBarrierAndSequential) {
+// Time Warp commits bit-identical state to the sequential kernel at every PE
+// count, and actually closed epochs on the way.
+TEST_P(EpochIdentity, MatchesSequential) {
   const std::uint32_t pes = GetParam();
 
   const std::uint64_t sd = sequential_digest();
 
-  EngineConfig barrier = engine_config(pes);
-  const std::uint64_t bd = run_digest(EngineKind::TimeWarp, barrier);
-
-  EngineConfig epoch = engine_config(pes);
-  epoch.gvt_mode = EngineConfig::GvtMode::Epoch;
   RunStats es;
-  const std::uint64_t ed = run_digest(EngineKind::TimeWarp, epoch, &es);
+  const std::uint64_t ed =
+      run_digest(EngineKind::TimeWarp, engine_config(pes), &es);
 
-  EXPECT_EQ(sd, bd);
   EXPECT_EQ(sd, ed);
   EXPECT_GT(es.metrics.total.at(Counter::GvtEpochCloses), 0u)
       << "no epoch ever closed, so this proved nothing";
@@ -134,13 +134,55 @@ INSTANTIATE_TEST_SUITE_P(PeCounts, EpochIdentity,
                            return std::to_string(info.param) + "pe";
                          });
 
-// An epoch-mode run is itself exactly repeatable (the closes are raced by
+// A Time Warp run is itself exactly repeatable (the closes are raced by
 // all PEs, so this pins the winner-independence of the bookkeeping).
 TEST(EpochIdentity, EpochRunIsRepeatable) {
   EngineConfig ec = engine_config(4);
-  ec.gvt_mode = EngineConfig::GvtMode::Epoch;
   EXPECT_EQ(run_digest(EngineKind::TimeWarp, ec),
             run_digest(EngineKind::TimeWarp, ec));
+}
+
+// -------------------------------------------------------------- lead bound
+//
+// The row where unbounded epoch GVT fell off a cliff: 2-PE PHOLD at 100%
+// remote traffic and lookahead 0.05 (the phold_sweep settings). Without the
+// lead bound a PE that had already requested GVT kept executing while the
+// close was pending, and a handful of primary rollbacks cascaded into
+// ~10^5 secondary ones (efficiency ~0.08). The bound makes each PE stop one
+// effective interval past the last close it applied, so no close can see
+// more than num_pes * gvt_interval_events forward executions — a
+// deterministic check (the timing-dependent efficiency floor for the same
+// row lives in test_gvt_cliff).
+
+TEST(LeadBound, NoCloseSeesMoreThanOneIntervalPerPe) {
+  PholdConfig pc;
+  pc.num_lps = 256;
+  pc.remote_fraction = 1.0;
+  pc.lookahead = 0.05;
+  EngineConfig ec;
+  ec.num_lps = pc.num_lps;
+  ec.end_time = 100.0;
+  ec.num_pes = 2;
+  ec.num_kps = 32;
+  ec.gvt_interval_events = 1024;
+  ec.optimism_window = 10.0 * pc.mean_delay;
+
+  PholdModel seq_model(pc);
+  std::unique_ptr<Engine> seq =
+      make_engine(EngineKind::Sequential, seq_model, ec);
+  seq->run();
+  PholdModel tw_model(pc);
+  std::unique_ptr<Engine> tw = make_engine(EngineKind::TimeWarp, tw_model, ec);
+  const RunStats s = tw->run();
+
+  EXPECT_EQ(PholdModel::digest(*seq), PholdModel::digest(*tw));
+  ASSERT_FALSE(s.metrics.gvt_series.empty());
+  std::uint64_t peak = 0;
+  for (const obs::GvtRoundSample& r : s.metrics.gvt_series) {
+    peak = std::max(peak, r.processed);
+  }
+  EXPECT_LE(peak, std::uint64_t{ec.num_pes} * ec.gvt_interval_events)
+      << "a PE ran past its lead bound";
 }
 
 // ----------------------------------------------- transient-message stress
@@ -155,7 +197,6 @@ TEST(EpochTransient, DelayedAndReorderedTrafficStraddlingCutsIsExact) {
   const std::uint64_t sd = sequential_digest();
 
   EngineConfig ec = engine_config(4);
-  ec.gvt_mode = EngineConfig::GvtMode::Epoch;
   // Tiny interval: many cuts per run, so held traffic necessarily
   // straddles them.
   ec.gvt_interval_events = 48;
@@ -179,7 +220,6 @@ TEST(EpochTransient, ChaosPlusMigrationStaysIdentical) {
   const std::uint64_t sd = sequential_digest();
 
   EngineConfig ec = engine_config(4);
-  ec.gvt_mode = EngineConfig::GvtMode::Epoch;
   std::string err;
   ASSERT_TRUE(FaultPlan::parse("delay:p=0.2,k=2;reorder:p=0.4;seed=13",
                                ec.fault, err))
@@ -190,8 +230,8 @@ TEST(EpochTransient, ChaosPlusMigrationStaysIdentical) {
   EXPECT_EQ(sd, run_digest(EngineKind::TimeWarp, ec));
 }
 
-// Checkpoint rounds anchor to epoch closes exactly as they anchor to
-// barrier rounds: the run must still be bit-identical and write images.
+// Checkpoint rounds anchor to epoch closes: the run must still be
+// bit-identical and write images.
 TEST(EpochTransient, CheckpointRoundsAnchorToCloses) {
   const std::filesystem::path dir =
       std::filesystem::path(::testing::TempDir()) / "hp_gvt_epoch_ck";
@@ -200,7 +240,6 @@ TEST(EpochTransient, CheckpointRoundsAnchorToCloses) {
   const std::uint64_t sd = sequential_digest();
 
   EngineConfig ec = engine_config(4);
-  ec.gvt_mode = EngineConfig::GvtMode::Epoch;
   ec.checkpoint.every = 2000;
   ec.checkpoint.dir = dir.string();
   RunStats es;
@@ -213,16 +252,15 @@ TEST(EpochTransient, CheckpointRoundsAnchorToCloses) {
 
 // ------------------------------------------------------- pool hard block
 //
-// Under the barrier algorithm a hard-blocked PE forces a GVT round by
-// raising gvt_request_; under epochs the same flag forces a cut, the other
-// PEs (which keep pumping, never park) follow, and the close frees fossils
-// so the blocked PE can resume. A lost wakeup here would deadlock.
+// A hard-blocked PE forces a GVT round by raising gvt_request_: the flag
+// forces a cut, the other PEs (which keep pumping, never park) follow, and
+// the close frees fossils so the blocked PE can resume. A lost wakeup here
+// would deadlock.
 
 TEST(EpochFlowControl, HardBlockForcesCloseAndStaysIdentical) {
   const std::uint64_t sd = sequential_digest();
 
   EngineConfig ec = engine_config(4);
-  ec.gvt_mode = EngineConfig::GvtMode::Epoch;
   ec.pool_budget_envelopes = 128;  // a real squeeze on this workload
   RunStats es;
   const std::uint64_t ed = run_digest(EngineKind::TimeWarp, ec, &es);
@@ -236,14 +274,13 @@ TEST(EpochFlowControl, HardBlockForcesCloseAndStaysIdentical) {
 
 // ------------------------------------------------------------- watchdog
 
-// The watchdog's progress test accepts epoch activity (cuts and closes are
-// progress even while the commit frontier is briefly flat): a chaos stall
-// that resolves on its own must complete without escalation in epoch mode.
+// A chaos stall that resolves on its own holds GVT and the committed count
+// flat for a few closes; the watchdog must let it complete without
+// escalation.
 TEST(EpochWatchdog, BenignStallCompletesUnderEpochMode) {
   const std::uint64_t sd = sequential_digest();
 
   EngineConfig ec = engine_config(4);
-  ec.gvt_mode = EngineConfig::GvtMode::Epoch;
   std::string err;
   ASSERT_TRUE(FaultPlan::parse("stall:pe=1,rounds=6,at=2", ec.fault, err))
       << err;

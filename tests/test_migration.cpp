@@ -75,6 +75,8 @@ TEST(MigrationConfigParse, RejectsMalformedSpecs) {
       "imbalance=0.5",  // below 1
       "imbalance=x",    // non-numeric
       "max=0",          // zero moves
+      "every=4294967296",  // round count overflows 32 bits
+      "max=4294967296",    // move count overflows 32 bits
       "every=",         // empty value
       "=3",             // empty key
       "force=1",        // unknown key
@@ -400,6 +402,7 @@ TEST_P(MigrationMatrix, MigrationComposesWithDeliveryFaults) {
 
 constexpr auto kSplay = EngineConfig::QueueKind::Splay;
 constexpr auto kMSet = EngineConfig::QueueKind::Multiset;
+constexpr auto kLadder = EngineConfig::QueueKind::Ladder;
 constexpr const char* kCombinedChaos =
     "delay:p=0.2,k=2;reorder:p=0.4;straggler:p=0.3;dup-anti:p=0.3;seed=13";
 
@@ -417,7 +420,16 @@ INSTANTIATE_TEST_SUITE_P(
         MigChaosKnobs{"forced_stall_splay", "forced,every=2,max=1",
                       "stall:pe=1,rounds=6,at=2", kSplay},
         MigChaosKnobs{"scored_combined_splay", "every=2,imbalance=1,max=2",
-                      kCombinedChaos, kSplay}),
+                      kCombinedChaos, kSplay},
+        // The default pending set.
+        MigChaosKnobs{"forced_ladder", "forced,every=1,max=2", nullptr,
+                      kLadder},
+        MigChaosKnobs{"forced_combined_ladder", "forced,every=1,max=2",
+                      kCombinedChaos, kLadder},
+        MigChaosKnobs{"forced_stall_ladder", "forced,every=2,max=1",
+                      "stall:pe=1,rounds=6,at=2", kLadder},
+        MigChaosKnobs{"scored_combined_ladder", "every=2,imbalance=1,max=2",
+                      kCombinedChaos, kLadder}),
     [](const auto& info) { return std::string(info.param.name); });
 
 // Full-stack variant: hot-potato torus through the core facade; the whole

@@ -419,7 +419,7 @@ TEST(Monitor, EmitsParseableJsonLinesAtConfiguredInterval) {
               std::count(line.begin(), line.end(), '}'));
     for (const char* key :
          {"\"round\":", "\"gvt\":", "\"processed\":", "\"rolled_back\":",
-          "\"event_rate\":", "\"rollback_rate\":", "\"inbox_depth\":",
+          "\"event_rate\":", "\"rollback_rate\":", "\"in_flight\":",
           "\"top_offender_kp\":"}) {
       EXPECT_NE(line.find(key), std::string::npos) << key << " in " << line;
     }

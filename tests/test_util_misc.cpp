@@ -110,6 +110,35 @@ TEST(Cli, BoolishValues) {
   EXPECT_TRUE(cli.get_bool("d", false));
 }
 
+TEST(SpecValues, IntegersAreStrictAndRangeChecked) {
+  std::uint64_t u64 = 7;
+  EXPECT_TRUE(parse_u64("18446744073709551615", u64));
+  EXPECT_EQ(u64, 18446744073709551615ull);
+  std::uint32_t u32 = 7;
+  EXPECT_TRUE(parse_u32("4294967295", u32));
+  EXPECT_EQ(u32, 4294967295u);
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "1x", "0x10", "abc"}) {
+    EXPECT_FALSE(parse_u64(bad, u64)) << bad;
+    EXPECT_FALSE(parse_u32(bad, u32)) << bad;
+  }
+  // Out of range is rejected, never wrapped, and leaves the output alone.
+  EXPECT_FALSE(parse_u64("18446744073709551616", u64));
+  EXPECT_FALSE(parse_u32("4294967296", u32));
+  EXPECT_EQ(u64, 18446744073709551615ull);
+  EXPECT_EQ(u32, 4294967295u);
+}
+
+TEST(SpecValues, DoublesAndTrim) {
+  double d = 0.0;
+  EXPECT_TRUE(parse_double("2.5", d));
+  EXPECT_DOUBLE_EQ(d, 2.5);
+  EXPECT_FALSE(parse_double("", d));
+  EXPECT_FALSE(parse_double("2.5x", d));
+  EXPECT_DOUBLE_EQ(d, 2.5);
+  EXPECT_EQ(trim(" \tk=v \t"), "k=v");
+  EXPECT_EQ(trim("   "), "");
+}
+
 TEST(HistogramMerge, EmptySideIsNoOpAndAdoptsShape) {
   Histogram a(0.0, 1.0, 4);
   a.add(0.5);
