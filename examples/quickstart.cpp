@@ -69,6 +69,11 @@ int main(int argc, char** argv) {
   hp::core::SimulationOptions opts;
   opts.model.n = static_cast<std::int32_t>(cli.get_int("n", 16));
   opts.model.injector_fraction = cli.get_double("inject", 0.5);
+  if (opts.model.injector_fraction < 0.0 ||
+      opts.model.injector_fraction > 1.0) {
+    cli.usage_error("--inject expects a fraction in [0,1], got " +
+                    cli.get("inject", ""));
+  }
   opts.model.steps = static_cast<std::uint32_t>(cli.get_int("steps", 200));
   const auto seed = cli.get_int("seed", 1);
   if (seed <= 0) {

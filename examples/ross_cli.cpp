@@ -62,7 +62,12 @@ int main(int argc, char** argv) {
   const auto duration = cli.get_double("duration", 1280.0);
   opts.model.steps =
       static_cast<std::uint32_t>(duration / hp::hotpotato::kStep);
-  opts.model.injector_fraction = cli.get_double("probability_i", 50.0) / 100.0;
+  const double probability_i = cli.get_double("probability_i", 50.0);
+  if (probability_i < 0.0 || probability_i > 100.0) {
+    cli.usage_error("--probability_i expects a percentage in [0,100], got " +
+                    cli.get("probability_i", ""));
+  }
+  opts.model.injector_fraction = probability_i / 100.0;
   opts.model.absorb_sleeping = cli.get_bool("absorb_sleeping_packet", true);
   opts.engine.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
 

@@ -16,6 +16,12 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x4850434bu;  // "HPCK" little-endian
 constexpr std::uint32_t kVersion = 1;
+// Smallest encoded records: an LP's RNG state, draw count and state length,
+// and an event's key, send time and payload length. A count field that
+// claims more records than the remaining payload could hold is corrupt, and
+// is rejected before it sizes an allocation.
+constexpr std::size_t kMinLpRecordBytes = 8 + 8 + 8;
+constexpr std::size_t kMinEventRecordBytes = 8 + 8 + 4 + 4 + 4 + 8 + 4;
 
 // FNV-1a over the payload; cheap, order-sensitive, and good enough to catch
 // the failure modes that matter here (truncation, torn writes, bit rot).
@@ -109,7 +115,8 @@ bool CheckpointImage::decode(util::ByteSource& src, std::string& err) {
   end_time = src.f64();
   committed = src.u64();
   const std::uint64_t num_lp_records = src.u64();
-  if (!src.ok() || num_lp_records != num_lps) {
+  if (!src.ok() || num_lp_records != num_lps ||
+      num_lp_records > src.remaining() / kMinLpRecordBytes) {
     err = "checkpoint image: malformed LP table";
     return false;
   }
@@ -129,7 +136,7 @@ bool CheckpointImage::decode(util::ByteSource& src, std::string& err) {
     lps.push_back(std::move(lp));
   }
   const std::uint64_t num_events = src.u64();
-  if (!src.ok()) {
+  if (!src.ok() || num_events > src.remaining() / kMinEventRecordBytes) {
     err = "checkpoint image: truncated event table";
     return false;
   }

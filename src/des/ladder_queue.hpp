@@ -1,9 +1,16 @@
 #pragma once
 
-// Ladder queue pending-event set (Tang, Goh & Thng, "Ladder queue: An O(1)
-// priority queue structure for large-scale discrete event simulation",
-// TOMACS 2005) — one of the two contenders the pending-set shoot-out bench
-// races against the splay tree (bench/ablation_event_queue).
+// Ladder queue (Tang, Goh & Thng, "Ladder queue: An O(1) priority queue
+// structure for large-scale discrete event simulation", TOMACS 2005) — the
+// pending-event set of the sequential, conservative and Time Warp kernels.
+// It stands in for ROSS's splay tree. In a four-way shoot-out neither a
+// splay tree nor std::multiset ever beat it beyond noise, and a calendar
+// queue's small and 2-PE wins came with a 0.74x loss on the 64x64
+// sequential workload (EXPERIMENTS.md, "Event queue").
+//
+// Contract the engines rely on: pops come in full EventKey order, and
+// erase(ev) removes exactly the given envelope. tests/test_pending_set.cpp
+// holds it to a std::multiset oracle.
 //
 // Three tiers:
 //   * Top    — an unsorted overflow list for far-future events (everything
@@ -26,8 +33,8 @@
 // for the not-found answer, which only ghosts and float-boundary edge cases
 // reach.
 //
-// Duplicate full keys are permitted, as in SplayQueue; among equal keys any
-// pop order is allowed.
+// Duplicate full keys are permitted; among equal keys any pop order is
+// allowed.
 //
 // Rung geometry is ULP-aware: a rung's bucket width never drops below a few
 // ULPs of its own start timestamp (min_width_at). An absolute floor is not

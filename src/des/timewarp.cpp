@@ -217,7 +217,6 @@ TimeWarpEngine::TimeWarpEngine(Model& model, EngineConfig cfg)
   for (std::uint32_t pe = 0; pe < cfg_.num_pes; ++pe) {
     pes_.push_back(std::make_unique<PeData>());
     pes_.back()->id = pe;
-    pes_.back()->pending.configure(cfg_.queue_kind);
     pes_.back()->out.resize(cfg_.num_pes);
     // Adaptive pacing starts at the ceiling and floats downward; the floor
     // never exceeds the configured interval (tiny intervals stay exact).

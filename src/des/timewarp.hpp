@@ -55,8 +55,8 @@
 
 #include "des/engine.hpp"
 #include "des/event.hpp"
+#include "des/ladder_queue.hpp"
 #include "des/model.hpp"
-#include "des/pending_set.hpp"
 #include "net/mapping.hpp"
 #include "obs/forensics.hpp"
 #include "obs/monitor.hpp"
@@ -105,7 +105,7 @@ class TimeWarpEngine final : public Engine {
   struct alignas(64) PeData {
     std::uint32_t id = 0;
     std::vector<std::uint32_t> kps;
-    PendingSet pending;
+    LadderQueue pending;
     // uid -> live envelope (pending or processed) for anti-message matching.
     std::unordered_map<std::uint64_t, Event*> index;
     util::MpscQueue<Event> inbox;

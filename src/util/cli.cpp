@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -37,7 +38,9 @@ bool parse_double(std::string_view s, double& out) {
   char* end = nullptr;
   errno = 0;
   const double v = std::strtod(buf.c_str(), &end);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
+  if (errno != 0 || end != buf.c_str() + buf.size() || !std::isfinite(v)) {
+    return false;
+  }
   out = v;
   return true;
 }
@@ -106,11 +109,10 @@ std::int64_t Cli::get_int(const std::string& name, std::int64_t dflt) const {
 double Cli::get_double(const std::string& name, double dflt) const {
   auto it = values_.find(name);
   if (it == values_.end()) return dflt;
-  const char* s = it->second.c_str();
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0') {
-    usage_error("--" + name + " expects a number, got \"" + it->second + "\"");
+  double v = 0.0;
+  if (!parse_double(it->second, v)) {
+    usage_error("--" + name + " expects a finite number, got \"" +
+                it->second + "\"");
   }
   return v;
 }

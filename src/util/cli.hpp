@@ -42,8 +42,10 @@ class Cli {
 // --migrate, --checkpoint, --watchdog, --fc). The integer parsers take plain
 // decimal digits only — no sign, no whitespace, no trailing junk — and
 // reject values outside the destination type instead of wrapping them.
-// parse_double takes anything strtod consumes whole. All three leave `out`
-// untouched on failure.
+// parse_double takes anything strtod consumes whole that is finite: nan,
+// inf and out-of-range magnitudes are rejected, so a range check like
+// `v < 1.0` on the result cannot be slipped past with NaN. All three leave
+// `out` untouched on failure.
 bool parse_u64(std::string_view s, std::uint64_t& out);
 bool parse_u32(std::string_view s, std::uint32_t& out);
 bool parse_double(std::string_view s, double& out);

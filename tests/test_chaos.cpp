@@ -74,6 +74,10 @@ TEST(FaultPlanParse, RejectsMalformedSpecs) {
       "delay:p=-0.1",          // probability out of range
       "delay:p=nope",          // non-numeric
       "delay:p=0.5x",          // trailing junk
+      "delay:p=nan",           // NaN passes a [0,1] range check
+      "delay:p=inf",           // non-finite
+      "straggler:p=0.5,margin=nan",  // NaN passes margin > 0
+      "straggler:p=0.5,margin=inf",  // non-finite margin
       "delay:p=0.2,k=0",       // zero hold rounds
       "delay:p=0.2,k=4294967296",  // hold rounds overflow 32 bits
       "delay:q=0.2",           // unknown key
@@ -104,15 +108,15 @@ TEST(FaultPlanParse, FailedParseLeavesOutUntouched) {
 // ----------------------------------------------------------- chaos matrix
 
 struct ChaosCase {
-  const char* name;
   const char* spec;
   // Counter that proves this plan's fault actually fired.
   Counter witness;
 };
 
 struct ChaosKnobs {
+  const char* id;
   ChaosCase fault;
-  EngineConfig::QueueKind queue;
+  std::uint64_t seed;
 };
 
 class ChaosMatrix : public ::testing::TestWithParam<ChaosKnobs> {};
@@ -130,7 +134,7 @@ TEST_P(ChaosMatrix, DeliveryFaultsNeverChangeCommittedState) {
   EngineConfig ec;
   ec.num_lps = pc.num_lps;
   ec.end_time = 80.0;
-  ec.seed = 23;
+  ec.seed = k.seed;
 
   PholdModel m1(pc);
   std::unique_ptr<Engine> seq = make_engine(EngineKind::Sequential, m1, ec);
@@ -139,7 +143,6 @@ TEST_P(ChaosMatrix, DeliveryFaultsNeverChangeCommittedState) {
   ec.num_pes = 4;
   ec.num_kps = 16;
   ec.gvt_interval_events = 96;
-  ec.queue_kind = k.queue;
   std::string err;
   ASSERT_TRUE(FaultPlan::parse(k.fault.spec, ec.fault, err)) << err;
   ASSERT_TRUE(ec.fault.any());
@@ -184,48 +187,44 @@ TEST(ChaosMatrix, ChaoticRunIsRepeatable) {
   EXPECT_EQ(PholdModel::digest(*a), PholdModel::digest(*b));
 }
 
-constexpr auto kSplay = EngineConfig::QueueKind::Splay;
-constexpr auto kMSet = EngineConfig::QueueKind::Multiset;
-constexpr auto kLadder = EngineConfig::QueueKind::Ladder;
-
-constexpr ChaosCase kDelay = {"delay", "delay:p=0.3,k=2;seed=7",
+constexpr ChaosCase kDelay = {"delay:p=0.3,k=2;seed=7",
                               Counter::ChaosDelayedEvents};
-constexpr ChaosCase kReorder = {"reorder", "reorder:p=0.6;seed=7",
+constexpr ChaosCase kReorder = {"reorder:p=0.6;seed=7",
                                 Counter::ChaosReorderedEvents};
-constexpr ChaosCase kStraggler = {
-    "straggler", "straggler:p=0.5,margin=5;seed=7", Counter::ChaosStragglers};
-constexpr ChaosCase kDupAnti = {"dupanti", "dup-anti:p=0.5;seed=7",
+constexpr ChaosCase kStraggler = {"straggler:p=0.5,margin=5;seed=7",
+                                  Counter::ChaosStragglers};
+constexpr ChaosCase kDupAnti = {"dup-anti:p=0.5;seed=7",
                                 Counter::ChaosDupAntis};
-constexpr ChaosCase kStall = {"stall", "stall:pe=1,rounds=6,at=2",
+constexpr ChaosCase kStall = {"stall:pe=1,rounds=6,at=2",
                               Counter::ChaosStallRounds};
 constexpr ChaosCase kCombined = {
-    "combined",
     "delay:p=0.2,k=2;reorder:p=0.4;straggler:p=0.3;dup-anti:p=0.3;"
     "stall:pe=2,rounds=3,at=1;seed=13",
     Counter::ChaosDelayedEvents};
 
+// Row IDs keep the queue suffix (`_splay`, `_mset`, `_ladder`) from when this
+// matrix also swept the pending-set backend, so each ID still names the same
+// row. Every row now runs the ladder queue, the only backend left; rows whose
+// IDs differ only in that suffix run their fault under different seeds.
 INSTANTIATE_TEST_SUITE_P(
     FaultSweep, ChaosMatrix,
-    ::testing::Values(ChaosKnobs{kDelay, kSplay}, ChaosKnobs{kDelay, kMSet},
-                      ChaosKnobs{kReorder, kSplay},
-                      ChaosKnobs{kReorder, kMSet},
-                      ChaosKnobs{kStraggler, kSplay},
-                      ChaosKnobs{kDupAnti, kSplay},
-                      ChaosKnobs{kDupAnti, kMSet}, ChaosKnobs{kStall, kSplay},
-                      ChaosKnobs{kCombined, kSplay},
-                      ChaosKnobs{kCombined, kMSet},
-                      // The default pending set under every fault.
-                      ChaosKnobs{kDelay, kLadder},
-                      ChaosKnobs{kReorder, kLadder},
-                      ChaosKnobs{kStraggler, kLadder},
-                      ChaosKnobs{kDupAnti, kLadder},
-                      ChaosKnobs{kStall, kLadder},
-                      ChaosKnobs{kCombined, kLadder}),
-    [](const auto& info) {
-      const EngineConfig::QueueKind q = info.param.queue;
-      return std::string(info.param.fault.name) +
-             (q == kSplay ? "_splay" : q == kLadder ? "_ladder" : "_mset");
-    });
+    ::testing::Values(ChaosKnobs{"delay_splay", kDelay, 24},
+                      ChaosKnobs{"delay_mset", kDelay, 25},
+                      ChaosKnobs{"reorder_splay", kReorder, 24},
+                      ChaosKnobs{"reorder_mset", kReorder, 25},
+                      ChaosKnobs{"straggler_splay", kStraggler, 24},
+                      ChaosKnobs{"dupanti_splay", kDupAnti, 24},
+                      ChaosKnobs{"dupanti_mset", kDupAnti, 25},
+                      ChaosKnobs{"stall_splay", kStall, 24},
+                      ChaosKnobs{"combined_splay", kCombined, 24},
+                      ChaosKnobs{"combined_mset", kCombined, 25},
+                      ChaosKnobs{"delay_ladder", kDelay, 23},
+                      ChaosKnobs{"reorder_ladder", kReorder, 23},
+                      ChaosKnobs{"straggler_ladder", kStraggler, 23},
+                      ChaosKnobs{"dupanti_ladder", kDupAnti, 23},
+                      ChaosKnobs{"stall_ladder", kStall, 23},
+                      ChaosKnobs{"combined_ladder", kCombined, 23}),
+    [](const auto& info) { return std::string(info.param.id); });
 
 // Full-stack variant: hot-potato torus through the core facade; the whole
 // obs::ModelChannel (every named model metric) must match the sequential

@@ -178,6 +178,10 @@ TEST(CheckpointImageCodec, RoundTripsBitExact) {
   std::string err;
   ASSERT_TRUE(out.decode(src, err)) << err;
   EXPECT_TRUE(src.exhausted());
+  // A zero-length read into a null destination (an empty vector's data())
+  // is a no-op, not a failure.
+  src.bytes(nullptr, 0);
+  EXPECT_TRUE(src.exhausted());
 
   EXPECT_EQ(out.seed, img.seed);
   EXPECT_EQ(out.num_lps, img.num_lps);
@@ -201,14 +205,64 @@ TEST(CheckpointImageCodec, RoundTripsBitExact) {
 TEST(CheckpointImageCodec, TruncatedPayloadRejected) {
   util::ByteSink sink;
   sample_image().encode(sink);
-  // Every strict prefix must be rejected without aborting. Stride keeps the
-  // loop cheap; the interesting cuts (mid-scalar, mid-byte-blob) are covered.
-  for (std::size_t cut = 0; cut < sink.size(); cut += 7) {
+  // Every strict prefix must be rejected without aborting.
+  for (std::size_t cut = 0; cut < sink.size(); ++cut) {
     CheckpointImage out;
     util::ByteSource src(sink.data().data(), cut);
     std::string err;
     EXPECT_FALSE(out.decode(src, err)) << "accepted a " << cut
                                        << "-byte prefix";
+  }
+}
+
+// Count and length fields forged to all-ones must be rejected with an
+// error, never used to size an allocation (which would throw).
+TEST(CheckpointImageCodec, AbsurdCountsRejected) {
+  util::ByteSink sink;
+  sample_image().encode(sink);
+  // sample_image()'s encoding is 187 bytes; the offsets below follow the
+  // field order of CheckpointImage::encode.
+  ASSERT_EQ(sink.size(), 187u);
+  struct Field {
+    std::size_t offset;
+    std::size_t width;
+  };
+  constexpr Field kNumLps{8, 4};
+  constexpr Field kNumLpRecords{36, 8};
+  constexpr Field kLp0StateSize{60, 8};
+  constexpr Field kLp1StateSize{88, 8};
+  constexpr Field kNumEvents{96, 8};
+  constexpr Field kEv0PayloadSize{140, 4};
+  constexpr Field kEv1PayloadSize{183, 4};
+  struct Case {
+    const char* name;
+    std::vector<Field> fields;
+    std::uint64_t value;
+  };
+  const Case cases[] = {
+      {"num_lps", {kNumLps}, ~0ull},
+      {"num_lp_records", {kNumLpRecords}, ~0ull},
+      // Matching LP counts pass the equality check and reach the bound.
+      {"num_lps+num_lp_records", {kNumLps, kNumLpRecords}, 0xFFFFFFFFull},
+      {"lp0.state_size", {kLp0StateSize}, ~0ull},
+      {"lp1.state_size", {kLp1StateSize}, ~0ull},
+      {"num_events", {kNumEvents}, ~0ull},
+      {"num_events=2^40", {kNumEvents}, 1ull << 40},
+      {"event0.payload_size", {kEv0PayloadSize}, ~0ull},
+      {"event1.payload_size", {kEv1PayloadSize}, ~0ull},
+  };
+  for (const Case& c : cases) {
+    std::vector<std::uint8_t> bytes = sink.data();
+    for (const Field& f : c.fields) {
+      for (std::size_t i = 0; i < f.width; ++i) {
+        bytes[f.offset + i] = static_cast<std::uint8_t>(c.value >> (8 * i));
+      }
+    }
+    CheckpointImage out;
+    util::ByteSource src(bytes);
+    std::string err;
+    EXPECT_FALSE(out.decode(src, err)) << "accepted forged " << c.name;
+    EXPECT_FALSE(err.empty()) << c.name;
   }
 }
 

@@ -281,20 +281,6 @@ TEST(HotPotatoModel, LazyCancellationActuallyReusesChildren) {
       << "lazy mode should find identical re-sends to adopt";
 }
 
-TEST(HotPotatoModel, QueueBackendsProduceIdenticalResults) {
-  auto o = base_opts(8, 0.5, 60);
-  o.kernel = Kernel::TimeWarp;
-  o.engine.num_pes = 2;
-  o.engine.num_kps = 16;
-  o.engine.gvt_interval_events = 256;
-  o.engine.queue_kind = des::EngineConfig::QueueKind::Splay;
-  const auto splay = run_hotpotato(o);
-  o.engine.queue_kind = des::EngineConfig::QueueKind::Multiset;
-  const auto mset = run_hotpotato(o);
-  EXPECT_EQ(splay.report, mset.report);
-  EXPECT_EQ(splay.engine.committed_events(), mset.engine.committed_events());
-}
-
 TEST(HotPotatoModel, LinearMappingAlsoDeterministic) {
   auto o = base_opts(8, 0.5, 60);
   o.kernel = Kernel::Sequential;

@@ -4,9 +4,9 @@
 // execute, never their order — the EventKey is model-derived and placement-
 // independent — so every migrated Time Warp run must commit bit-identical
 // results to the sequential reference, at any cadence, composed with any
-// fault plan and either pending-queue backend. The unit tests below pin the
-// planner (pure function: same inputs, same plan on every PE) and the
-// ownership table the handoff rewrites.
+// fault plan. The unit tests below pin the planner (pure function: same
+// inputs, same plan on every PE) and the ownership table the handoff
+// rewrites.
 
 #include <gtest/gtest.h>
 
@@ -74,6 +74,8 @@ TEST(MigrationConfigParse, RejectsMalformedSpecs) {
       "every=-2",       // negative
       "imbalance=0.5",  // below 1
       "imbalance=x",    // non-numeric
+      "imbalance=nan",  // NaN passes a >= 1 range check
+      "imbalance=inf",  // non-finite
       "max=0",          // zero moves
       "every=4294967296",  // round count overflows 32 bits
       "max=4294967296",    // move count overflows 32 bits
@@ -361,13 +363,13 @@ TEST(MigrationDeterminism, MigratingRunIsRepeatable) {
   EXPECT_EQ(PholdModel::digest(*a), PholdModel::digest(*b));
 }
 
-// ------------------------------------------- migration x chaos x queue kind
+// ------------------------------------------------------ migration x chaos
 
 struct MigChaosKnobs {
   const char* name;
   const char* migrate;
   const char* chaos;  // nullptr = fault-free
-  EngineConfig::QueueKind queue;
+  std::uint64_t seed;
 };
 
 class MigrationMatrix : public ::testing::TestWithParam<MigChaosKnobs> {};
@@ -379,12 +381,12 @@ TEST_P(MigrationMatrix, MigrationComposesWithDeliveryFaults) {
   const MigChaosKnobs k = GetParam();
   const PholdConfig pc = mig_phold_config();
   EngineConfig ec = mig_engine_config(pc);
+  ec.seed = k.seed;
 
   PholdModel m1(pc);
   std::unique_ptr<Engine> seq = make_engine(EngineKind::Sequential, m1, ec);
   const RunStats sstats = seq->run();
 
-  ec.queue_kind = k.queue;
   std::string err;
   ASSERT_TRUE(MigrationConfig::parse(k.migrate, ec.migration, err)) << err;
   if (k.chaos != nullptr) {
@@ -400,36 +402,35 @@ TEST_P(MigrationMatrix, MigrationComposesWithDeliveryFaults) {
       << "migration spec " << k.migrate << " never moved a KP";
 }
 
-constexpr auto kSplay = EngineConfig::QueueKind::Splay;
-constexpr auto kMSet = EngineConfig::QueueKind::Multiset;
-constexpr auto kLadder = EngineConfig::QueueKind::Ladder;
 constexpr const char* kCombinedChaos =
     "delay:p=0.2,k=2;reorder:p=0.4;straggler:p=0.3;dup-anti:p=0.3;seed=13";
 
+// Row names keep the queue suffix (`_splay`, `_mset`, `_ladder`) from when
+// this matrix also swept the pending-set backend, so each name still IDs the
+// same row. Every row now runs the ladder queue, the only backend left; rows
+// whose names differ only in that suffix run under different seeds.
 INSTANTIATE_TEST_SUITE_P(
     MigChaosSweep, MigrationMatrix,
     ::testing::Values(
-        MigChaosKnobs{"forced_splay", "forced,every=1,max=2", nullptr, kSplay},
-        MigChaosKnobs{"forced_mset", "forced,every=1,max=2", nullptr, kMSet},
+        MigChaosKnobs{"forced_splay", "forced,every=1,max=2", nullptr, 24},
+        MigChaosKnobs{"forced_mset", "forced,every=1,max=2", nullptr, 25},
         MigChaosKnobs{"forced_delay_splay", "forced,every=1,max=2",
-                      "delay:p=0.3,k=2;seed=7", kSplay},
+                      "delay:p=0.3,k=2;seed=7", 23},
         MigChaosKnobs{"forced_combined_splay", "forced,every=1,max=2",
-                      kCombinedChaos, kSplay},
+                      kCombinedChaos, 24},
         MigChaosKnobs{"forced_combined_mset", "forced,every=1,max=2",
-                      kCombinedChaos, kMSet},
+                      kCombinedChaos, 25},
         MigChaosKnobs{"forced_stall_splay", "forced,every=2,max=1",
-                      "stall:pe=1,rounds=6,at=2", kSplay},
+                      "stall:pe=1,rounds=6,at=2", 24},
         MigChaosKnobs{"scored_combined_splay", "every=2,imbalance=1,max=2",
-                      kCombinedChaos, kSplay},
-        // The default pending set.
-        MigChaosKnobs{"forced_ladder", "forced,every=1,max=2", nullptr,
-                      kLadder},
+                      kCombinedChaos, 24},
+        MigChaosKnobs{"forced_ladder", "forced,every=1,max=2", nullptr, 23},
         MigChaosKnobs{"forced_combined_ladder", "forced,every=1,max=2",
-                      kCombinedChaos, kLadder},
+                      kCombinedChaos, 23},
         MigChaosKnobs{"forced_stall_ladder", "forced,every=2,max=1",
-                      "stall:pe=1,rounds=6,at=2", kLadder},
+                      "stall:pe=1,rounds=6,at=2", 23},
         MigChaosKnobs{"scored_combined_ladder", "every=2,imbalance=1,max=2",
-                      kCombinedChaos, kLadder}),
+                      kCombinedChaos, 23}),
     [](const auto& info) { return std::string(info.param.name); });
 
 // Full-stack variant: hot-potato torus through the core facade; the whole

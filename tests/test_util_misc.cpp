@@ -134,6 +134,11 @@ TEST(SpecValues, DoublesAndTrim) {
   EXPECT_DOUBLE_EQ(d, 2.5);
   EXPECT_FALSE(parse_double("", d));
   EXPECT_FALSE(parse_double("2.5x", d));
+  // Non-finite values and magnitudes strtod can only saturate are rejected.
+  for (const char* bad : {"nan", "NaN", "-nan", "inf", "-inf", "infinity",
+                          "1e999", "-1e999"}) {
+    EXPECT_FALSE(parse_double(bad, d)) << bad;
+  }
   EXPECT_DOUBLE_EQ(d, 2.5);
   EXPECT_EQ(trim(" \tk=v \t"), "k=v");
   EXPECT_EQ(trim("   "), "");
